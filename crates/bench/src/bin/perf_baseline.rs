@@ -31,7 +31,8 @@
 //!   strategy/mode/jobs/nodes/reps) regresses below the baseline's
 //!   statistical bound, or when a baseline campaign of the current run's
 //!   mode is missing from the fresh run entirely (a silently dropped
-//!   campaign must not pass the gate).
+//!   campaign must not pass the gate). A malformed baseline entry is an
+//!   error naming its index, never skipped.
 //! * `--reference` — time the retained pre-optimization scheduler
 //!   implementations instead (see `StrategyConfig::build_reference`), so
 //!   the fast-path speedup can be measured on one build.
@@ -67,6 +68,7 @@ use nodeshare_bench::orchestrator::Parallelism;
 use nodeshare_bench::{seeds, World};
 use nodeshare_core::{StrategyConfig, StrategyKind};
 use nodeshare_engine::{run, run_streamed, SimConfig};
+use nodeshare_report::JsonValue;
 use rayon::prelude::*;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -368,47 +370,43 @@ fn to_json(entries: &[Entry], quick: bool) -> String {
     out
 }
 
-/// Minimal field extraction from the baseline file this binary itself
-/// writes (one entry object per line — see [`to_json`]). Accepts legacy
-/// schema-1 lines (no `mode`, no `samples`) for older committed files.
-fn parse_baseline(text: &str) -> Vec<BaselineEntry> {
-    fn field(line: &str, key: &str) -> Option<String> {
-        let pat = format!("\"{key}\": ");
-        let start = line.find(&pat)? + pat.len();
-        let rest = &line[start..];
-        let rest = rest.strip_prefix('"').unwrap_or(rest);
-        let end = rest.find([',', '"', '}', ']']).unwrap_or(rest.len());
-        Some(rest[..end].trim().to_string())
+/// Reads a baseline file this binary wrote (see [`to_json`]). Legacy
+/// schema-1 entries carry no `mode`, `samples` or `peak_rss_mib`; any
+/// other missing or mistyped field is an error naming the entry, so no
+/// entry can slip past the gates.
+fn parse_baseline(text: &str) -> Result<Vec<BaselineEntry>, String> {
+    /// `key` decoded by `read`, or `default` when the key is absent.
+    fn field<'a, T>(
+        e: &'a JsonValue,
+        key: &str,
+        default: Option<T>,
+        read: impl Fn(&'a JsonValue) -> Option<T>,
+    ) -> Result<T, String> {
+        e.get(key)
+            .map_or(default, read)
+            .ok_or_else(|| format!("missing or mistyped \"{key}\""))
     }
-    fn samples(line: &str) -> Vec<f64> {
-        let Some(start) = line.find("\"samples\": [") else {
-            return Vec::new();
-        };
-        let rest = &line[start + "\"samples\": [".len()..];
-        let Some(end) = rest.find(']') else {
-            return Vec::new();
-        };
-        rest[..end]
-            .split(',')
-            .filter_map(|s| s.trim().parse().ok())
-            .collect()
-    }
-    text.lines()
-        .filter(|l| l.contains("\"strategy\""))
-        .filter_map(|l| {
-            Some(BaselineEntry {
-                strategy: field(l, "strategy")?,
-                mode: field(l, "mode"),
-                jobs: field(l, "jobs")?.parse().ok()?,
-                nodes: field(l, "nodes")?.parse().ok()?,
-                reps: field(l, "reps")?.parse().ok()?,
-                events_per_sec: field(l, "events_per_sec")?.parse().ok()?,
-                samples: samples(l),
-                peak_rss_mib: field(l, "peak_rss_mib")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0.0),
-            })
+    let count = |v: &JsonValue| v.as_u64().and_then(|n| u32::try_from(n).ok());
+    let samples = |v: &JsonValue| v.as_array()?.iter().map(JsonValue::as_f64).collect();
+    let entry = |e: &JsonValue| -> Result<BaselineEntry, String> {
+        Ok(BaselineEntry {
+            strategy: field(e, "strategy", None, JsonValue::as_str)?.to_string(),
+            mode: field(e, "mode", Some(None), |v| v.as_str().map(Some))?.map(str::to_string),
+            jobs: field(e, "jobs", None, count)?,
+            nodes: field(e, "nodes", None, count)?,
+            reps: field(e, "reps", None, count)?,
+            events_per_sec: field(e, "events_per_sec", None, JsonValue::as_f64)?,
+            samples: field(e, "samples", Some(Vec::new()), samples)?,
+            peak_rss_mib: field(e, "peak_rss_mib", Some(0.0), JsonValue::as_f64)?,
         })
+    };
+    let doc = JsonValue::parse(text)?;
+    let entries = doc.get("entries").and_then(JsonValue::as_array);
+    entries
+        .ok_or("missing top-level \"entries\" array")?
+        .iter()
+        .enumerate()
+        .map(|(i, e)| entry(e).map_err(|msg| format!("entry {i}: {msg}")))
         .collect()
 }
 
@@ -731,7 +729,9 @@ fn main() {
     if let Some(path) = check_path {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let failures = check_against(&entries, &parse_baseline(&text));
+        let baseline =
+            parse_baseline(&text).unwrap_or_else(|e| panic!("malformed baseline {path}: {e}"));
+        let failures = check_against(&entries, &baseline);
         if !failures.is_empty() {
             for f in &failures {
                 eprintln!("PERF REGRESSION: {f}");
@@ -739,5 +739,29 @@ fn main() {
             std::process::exit(1);
         }
         println!("perf check against {path}: OK");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_baseline;
+
+    #[test]
+    fn baseline_reader_keeps_every_entry_or_names_the_bad_one() {
+        let committed = include_str!("../../../../BENCH_sched.json");
+        let entries = parse_baseline(committed).expect("committed baseline parses");
+        assert_eq!(entries.len(), committed.matches("\"strategy\"").count());
+
+        let legacy = r#"{"entries": [{"strategy": "easy-backfill", "jobs": 10,
+            "nodes": 4, "reps": 1, "events_per_sec": 5.5}]}"#;
+        let e = &parse_baseline(legacy).expect("legacy entry")[0];
+        assert!(e.mode.is_none() && e.samples.is_empty() && e.peak_rss_mib == 0.0);
+
+        // A line scraper would drop this entry and let it escape the gates.
+        let bad = legacy.replace("]}", r#", {"strategy": "conservative", "jobs": "10"}]}"#);
+        assert_eq!(
+            parse_baseline(&bad).err().as_deref(),
+            Some("entry 1: missing or mistyped \"jobs\"")
+        );
     }
 }

@@ -6,8 +6,23 @@
 //! so this module supplies the matching hand-rolled reader: a small
 //! recursive-descent parser over the JSON grammar, sufficient for the
 //! analytics in this crate and for the exporter's own schema tests.
+//!
+//! * **Linear time.** Every input byte is visited a constant number of
+//!   times: a string's plain run up to the next `"` or `\` is copied in
+//!   one slice, so a multi-megabyte trace parses in time proportional to
+//!   its size.
+//! * **Bounded depth.** Arrays and objects nest at most 128 deep;
+//!   deeper input is an error (`nesting deeper than 128 at byte P`),
+//!   never a stack overflow. Traces, Perfetto output and
+//!   `BENCH_sched.json` nest at most five deep.
+//! * **Strict escapes.** `\u` takes exactly four ASCII hex digits;
+//!   anything else is an error naming the escape's byte offset.
 
 use std::collections::BTreeMap;
+
+/// How deep arrays and objects may nest before [`JsonValue::parse`]
+/// gives up with an error instead of recursing further.
+const MAX_DEPTH: usize = 128;
 
 /// One parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -33,8 +48,10 @@ impl JsonValue {
     /// Trailing non-whitespace after the top-level value is an error.
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -98,8 +115,11 @@ impl JsonValue {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -128,8 +148,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -200,11 +234,12 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> Result<String, String> {
+        let start = self.pos;
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
             match self.peek() {
-                None => return Err("unterminated string".into()),
+                None => return Err(format!("unterminated string at byte {start}")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
@@ -221,15 +256,9 @@ impl Parser<'_> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
+                            let code = self.hex4(self.pos + 1).ok_or_else(|| {
+                                format!("bad \\u escape at byte {}", self.pos - 1)
+                            })?;
                             // Surrogate pairs are not produced by any
                             // writer in this workspace; map them to the
                             // replacement character rather than erroring.
@@ -241,15 +270,30 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run of plain bytes up to the next
+                    // `"` or `\`. Both are ASCII, so the run starts and
+                    // ends on char boundaries of the `&str` input.
+                    let run = self.pos;
+                    self.pos = self.bytes[run..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |n| run + n);
+                    out.push_str(
+                        self.text
+                            .get(run..self.pos)
+                            .ok_or_else(|| format!("string split inside a char at byte {run}"))?,
+                    );
                 }
             }
         }
+    }
+
+    /// The code unit spelled by exactly four ASCII hex digits at `at`.
+    fn hex4(&self, at: usize) -> Option<u32> {
+        let digits = self.bytes.get(at..at + 4)?;
+        digits
+            .iter()
+            .try_fold(0, |code, &b| Some(code << 4 | char::from(b).to_digit(16)?))
     }
 
     fn number(&mut self) -> Result<JsonValue, String> {
@@ -328,6 +372,40 @@ mod tests {
         assert!(JsonValue::parse("[1,]").is_err());
         assert!(JsonValue::parse("{\"a\":1} extra").is_err());
         assert!(JsonValue::parse("nul").is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        let v = JsonValue::parse(r#""\u0041\u00E9 é\"ü""#).expect("parses");
+        assert_eq!(v.as_str(), Some("Aé é\"ü"));
+        // `u32::from_str_radix` alone accepts a leading sign and would
+        // decode `\u+041` as "A".
+        for bad in [
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u04g1""#,
+            r#""\u041""#,
+            r#""\u"#,
+        ] {
+            let err = JsonValue::parse(bad).expect_err(bad);
+            assert_eq!(err, "bad \\u escape at byte 1", "{bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_limit_is_an_error() {
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&deepest).is_ok());
+        // Deep enough to overflow the stack of an unbounded reader.
+        let err = JsonValue::parse(&"[".repeat(200_000)).expect_err("too deep");
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        let err = JsonValue::parse(&objects).expect_err("too deep");
+        assert!(err.starts_with("nesting deeper than"), "{err}");
     }
 
     #[test]
