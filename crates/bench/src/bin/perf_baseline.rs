@@ -67,7 +67,7 @@ use nodeshare_bench::campaign::{run_campaign, CampaignSpec, CellOptions, PresetV
 use nodeshare_bench::orchestrator::Parallelism;
 use nodeshare_bench::{seeds, World};
 use nodeshare_core::{StrategyConfig, StrategyKind};
-use nodeshare_engine::{run, run_streamed, SimConfig};
+use nodeshare_engine::{run, simulate, Observe, SimConfig};
 use nodeshare_report::JsonValue;
 use rayon::prelude::*;
 use std::fmt::Write as _;
@@ -622,7 +622,14 @@ fn measure_streamed(world: &World) -> Entry {
     );
     let mut source = spec.stream(&world.catalog, CHUNK);
     let started = Instant::now();
-    let out = run_streamed(&mut source, &world.matrix, sched.as_mut(), &sim_cfg);
+    let (out, _) = simulate(
+        &mut source,
+        &world.matrix,
+        sched.as_mut(),
+        &sim_cfg,
+        Observe::default(),
+    )
+    .expect("the generator source always delivers");
     let wall = started.elapsed().as_secs_f64();
     let rss = process_peak_rss_mib();
     assert!(

@@ -18,14 +18,12 @@
 
 use crate::orchestrator::{run_cells, CellFailure, Parallelism};
 use crate::{
-    audit_requested, telemetry_dir, telemetry_sample_interval, write_telemetry_files, World,
+    audit_requested, simulate_workload, telemetry_dir, telemetry_sample_interval,
+    write_telemetry_files, World,
 };
 use nodeshare_cluster::ClusterSpec;
 use nodeshare_core::StrategyConfig;
-use nodeshare_engine::{
-    run, run_traced, run_traced_with_telemetry, run_with_telemetry, Auditor, DecisionTrace,
-    FailureModel, SimConfig, SimOutcome, SimTelemetry,
-};
+use nodeshare_engine::{DecisionTrace, FailureModel, Observe, SimConfig, SimOutcome, SimTelemetry};
 use nodeshare_metrics::{CampaignMetrics, Table};
 use nodeshare_workload::{ArrivalProcess, WorkloadSpec};
 
@@ -397,50 +395,22 @@ pub fn run_cell(
 
     nodeshare_obs::debug!(target.as_str(), "cell start"; jobs = workload.len());
     let mut sched = sv.config.build(&world.catalog, &world.model);
-    let want_trace = sim_cfg.audit || opts.hash_traces;
     let telemetry = telemetry_dir().map(|dir| {
         (
             dir.join(spec.name).join(&slug),
             SimTelemetry::new(telemetry_sample_interval()),
         )
     });
-
-    let audit = |trace: &DecisionTrace, out: &SimOutcome| {
-        if let Err(violations) = Auditor::new(&world.matrix, &sim_cfg).audit(trace, out) {
-            panic!(
-                "audit of cell {label} found {} violation(s): {violations:?}",
-                violations.len()
-            );
-        }
+    let observe = Observe {
+        // An audited run records its trace anyway; keep it for the cell
+        // report.
+        trace: sim_cfg.audit || opts.hash_traces,
+        telemetry: telemetry.as_ref().map(|(_, tele)| tele),
     };
     let sim_started = std::time::Instant::now();
-    let (out, trace) = match (&telemetry, want_trace) {
-        (Some((_, tele)), true) => {
-            let (out, trace) =
-                run_traced_with_telemetry(&workload, &world.matrix, sched.as_mut(), &sim_cfg, tele);
-            (out, Some(trace))
-        }
-        (Some((_, tele)), false) => (
-            run_with_telemetry(&workload, &world.matrix, sched.as_mut(), &sim_cfg, tele),
-            None,
-        ),
-        (None, true) => {
-            // `run_traced` never audits implicitly — we hand the trace
-            // to the auditor ourselves so the panic carries the cell.
-            let (out, trace) = run_traced(&workload, &world.matrix, sched.as_mut(), &sim_cfg);
-            (out, Some(trace))
-        }
-        (None, false) => (
-            run(&workload, &world.matrix, sched.as_mut(), &sim_cfg),
-            None,
-        ),
-    };
+    let (out, trace) =
+        simulate_workload(&workload, &world.matrix, sched.as_mut(), &sim_cfg, observe);
     let wall_seconds = sim_started.elapsed().as_secs_f64();
-    if sim_cfg.audit {
-        if let Some(trace) = &trace {
-            audit(trace, &out);
-        }
-    }
     let hash = trace.as_ref().map(trace_hash);
     if let Some((dir, tele)) = &telemetry {
         // One subdirectory per cell: parallel cells never interleave

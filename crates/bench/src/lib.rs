@@ -17,8 +17,7 @@ pub mod orchestrator;
 use nodeshare_cluster::ClusterSpec;
 use nodeshare_core::StrategyConfig;
 use nodeshare_engine::{
-    run, run_traced_with_telemetry, run_with_telemetry, Auditor, SimConfig, SimOutcome,
-    SimTelemetry,
+    simulate, DecisionTrace, Observe, Scheduler, SimConfig, SimOutcome, SimTelemetry,
 };
 use nodeshare_metrics::CampaignMetrics;
 use nodeshare_perf::{AppCatalog, CoRunTruth, ContentionModel, PairMatrix};
@@ -99,38 +98,22 @@ impl World {
         cfg: &StrategyConfig,
     ) -> (SimOutcome, CampaignMetrics) {
         let mut sched = cfg.build(&self.catalog, &self.model);
-        let sim_cfg = self.config();
-        let out = match telemetry_dir() {
-            Some(dir) => {
-                let telemetry = SimTelemetry::new(telemetry_sample_interval());
-                let out = if sim_cfg.audit {
-                    // Telemetry must not cost the campaign its audit:
-                    // trace and re-verify exactly as `run` would.
-                    let (out, trace) = run_traced_with_telemetry(
-                        workload,
-                        &self.matrix,
-                        sched.as_mut(),
-                        &sim_cfg,
-                        &telemetry,
-                    );
-                    if let Err(violations) =
-                        Auditor::new(&self.matrix, &sim_cfg).audit(&trace, &out)
-                    {
-                        panic!(
-                            "audit of {} found {} violation(s): {violations:?}",
-                            cfg.label(),
-                            violations.len()
-                        );
-                    }
-                    out
-                } else {
-                    run_with_telemetry(workload, &self.matrix, sched.as_mut(), &sim_cfg, &telemetry)
-                };
-                write_campaign_telemetry(&dir, cfg.label(), &telemetry);
-                out
-            }
-            None => run(workload, &self.matrix, sched.as_mut(), &sim_cfg),
+        let telemetry =
+            telemetry_dir().map(|dir| (dir, SimTelemetry::new(telemetry_sample_interval())));
+        let observe = Observe {
+            trace: false,
+            telemetry: telemetry.as_ref().map(|(_, t)| t),
         };
+        let (out, _) = simulate_workload(
+            workload,
+            &self.matrix,
+            sched.as_mut(),
+            &self.config(),
+            observe,
+        );
+        if let Some((dir, telemetry)) = &telemetry {
+            write_campaign_telemetry(dir, cfg.label(), telemetry);
+        }
         assert!(
             out.complete(),
             "{}: {} jobs never scheduled",
@@ -157,6 +140,29 @@ impl World {
             })
             .collect()
     }
+}
+
+/// Jobs per chunk when an in-memory workload is streamed into the
+/// engine: the chunking `nodeshare_engine::run` uses, so the event-queue
+/// gauge in telemetry samples (which follows the chunking) matches it.
+const CHUNK_JOBS: usize = 8192;
+
+/// [`simulate`] over an in-memory workload, which cannot fail to deliver.
+pub(crate) fn simulate_workload(
+    workload: &Workload,
+    truth: &CoRunTruth,
+    scheduler: &mut dyn Scheduler,
+    config: &SimConfig,
+    observe: Observe<'_>,
+) -> (SimOutcome, Option<DecisionTrace>) {
+    simulate(
+        &mut workload.source(CHUNK_JOBS),
+        truth,
+        scheduler,
+        config,
+        observe,
+    )
+    .unwrap_or_else(|e| panic!("in-memory workload source failed: {e}"))
 }
 
 /// True when the current process was asked to audit its simulations,

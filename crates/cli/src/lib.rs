@@ -22,7 +22,7 @@ pub mod report;
 use args::{ArgError, Invocation};
 use nodeshare_cluster::ClusterSpec;
 use nodeshare_core::{PairingPolicy, PredictorKind, StrategyConfig, StrategyKind};
-use nodeshare_engine::{FailureModel, SimConfig};
+use nodeshare_engine::{DecisionTrace, FailureModel, Observe, SimConfig, SimOutcome};
 use nodeshare_perf::{AppCatalog, CoRunTruth, ContentionModel, PairMatrix, Resource};
 use nodeshare_slurm::SlurmConf;
 use nodeshare_workload::{
@@ -459,26 +459,13 @@ fn write_telemetry(
     ))
 }
 
-/// Everything one campaign run needs except the workload itself —
-/// streamed runs stop here and feed the engine from a [`JobSource`].
+/// Everything one campaign run needs except its job source.
 struct Env {
     catalog: AppCatalog,
     truth: CoRunTruth,
     cluster: ClusterSpec,
     config: SimConfig,
     sched: Box<dyn nodeshare_engine::Scheduler>,
-}
-
-/// Everything one materialized campaign run needs.
-struct Prepared {
-    env: Env,
-    workload: Workload,
-}
-
-fn prepare(inv: &Invocation) -> Result<Prepared, CliError> {
-    let env = prepare_env(inv)?;
-    let workload = build_workload(inv, &env.catalog, &env.cluster)?;
-    Ok(Prepared { env, workload })
 }
 
 fn prepare_env(inv: &Invocation) -> Result<Env, CliError> {
@@ -550,6 +537,70 @@ fn prepare_env(inv: &Invocation) -> Result<Env, CliError> {
     })
 }
 
+/// Jobs per chunk when an in-memory workload is streamed into the
+/// engine: the chunking `nodeshare_engine::run` uses, so the event-queue
+/// gauge in telemetry samples (which follows the chunking) matches it.
+const CHUNK_JOBS: usize = 8192;
+
+/// Runs the campaign `inv` names with one [`nodeshare_engine::simulate`]
+/// call. `--source` without `--materialize` streams the trace file
+/// through the engine chunk by chunk; everything else goes through an
+/// in-memory workload. Returns the outcome, the trace when `observe`
+/// asks for one, and the report's workload section. A source that fails
+/// mid-run (bad input) is a [`CliError`] naming the file and line.
+fn run_campaign(
+    inv: &Invocation,
+    env: &mut Env,
+    observe: Observe<'_>,
+) -> Result<(SimOutcome, Option<DecisionTrace>, String), CliError> {
+    let streamed_path = inv.get("source").filter(|_| !inv.has("materialize"));
+    let workload;
+    let (mut source, section): (Box<dyn JobSource + '_>, String) = match streamed_path {
+        Some(path) => (
+            open_source(inv, path, &env.catalog, &env.cluster)?,
+            format!("workload: streamed from {path}"),
+        ),
+        None => {
+            workload = build_workload(inv, &env.catalog, &env.cluster)?;
+            let stats = WorkloadStats::of(&workload).report(Some(&env.catalog));
+            (
+                Box::new(workload.source(CHUNK_JOBS)),
+                format!("workload:\n{stats}"),
+            )
+        }
+    };
+    let (out, trace) = nodeshare_engine::simulate(
+        source.as_mut(),
+        &env.truth,
+        env.sched.as_mut(),
+        &env.config,
+        observe,
+    )
+    .map_err(|e| CliError::Other(format!("{}: {e}", streamed_path.unwrap_or("workload"))))?;
+    Ok((out, trace, section))
+}
+
+/// Fails when jobs were left in the queue forever.
+fn require_complete(out: &SimOutcome) -> Result<(), CliError> {
+    if out.complete() {
+        return Ok(());
+    }
+    Err(CliError::Other(format!(
+        "{} jobs could never be scheduled on this cluster (first: {:?})",
+        out.unscheduled.len(),
+        out.unscheduled.first()
+    )))
+}
+
+/// Writes the per-job records to `--csv`, when given.
+fn write_csv(inv: &Invocation, out: &SimOutcome, catalog: &AppCatalog) -> Result<(), CliError> {
+    if let Some(path) = inv.get("csv") {
+        std::fs::write(path, report::records_csv(out, catalog))
+            .map_err(|e| CliError::Io(path.to_string(), e))?;
+    }
+    Ok(())
+}
+
 /// The compact per-run summary a lean campaign gets instead of the full
 /// per-job report.
 fn lean_summary(out: &nodeshare_engine::SimOutcome) -> String {
@@ -574,67 +625,17 @@ fn simulate(inv: &Invocation) -> Result<String, CliError> {
     inv.check_known(&known)?;
     apply_log_level(inv)?;
     let telemetry = build_telemetry(inv, false)?;
-    // `--source` without `--materialize` streams the trace through the
-    // engine chunk by chunk; everything else goes the materialized way.
-    let streamed_path = inv.get("source").filter(|_| !inv.has("materialize"));
+    let observe = Observe {
+        trace: false,
+        telemetry: telemetry.as_ref(),
+    };
     // detlint: allow(D2, wall time feeds the human-facing timing banner only, never the compared artifacts)
     let started = std::time::Instant::now();
-    let (env, out, workload_section) = if let Some(path) = streamed_path {
-        let mut env = prepare_env(inv)?;
-        let mut source = open_source(inv, path, &env.catalog, &env.cluster)?;
-        let out = match telemetry.as_ref() {
-            Some(t) => nodeshare_engine::run_streamed_with_telemetry(
-                source.as_mut(),
-                &env.truth,
-                env.sched.as_mut(),
-                &env.config,
-                t,
-            ),
-            None => nodeshare_engine::run_streamed(
-                source.as_mut(),
-                &env.truth,
-                env.sched.as_mut(),
-                &env.config,
-            ),
-        };
-        drop(source);
-        let section = format!("workload: streamed from {path}");
-        (env, out, section)
-    } else {
-        let mut p = prepare(inv)?;
-        let out = match telemetry.as_ref() {
-            Some(t) => nodeshare_engine::run_with_telemetry(
-                &p.workload,
-                &p.env.truth,
-                p.env.sched.as_mut(),
-                &p.env.config,
-                t,
-            ),
-            None => nodeshare_engine::run(
-                &p.workload,
-                &p.env.truth,
-                p.env.sched.as_mut(),
-                &p.env.config,
-            ),
-        };
-        let section = format!(
-            "workload:\n{}",
-            WorkloadStats::of(&p.workload).report(Some(&p.env.catalog))
-        );
-        (p.env, out, section)
-    };
+    let mut env = prepare_env(inv)?;
+    let (out, _, workload_section) = run_campaign(inv, &mut env, observe)?;
     let wall = started.elapsed().as_secs_f64();
-    if !out.complete() {
-        return Err(CliError::Other(format!(
-            "{} jobs could never be scheduled on this cluster (first: {:?})",
-            out.unscheduled.len(),
-            out.unscheduled.first()
-        )));
-    }
-    if let Some(path) = inv.get("csv") {
-        std::fs::write(path, report::records_csv(&out, &env.catalog))
-            .map_err(|e| CliError::Io(path.to_string(), e))?;
-    }
+    require_complete(&out)?;
+    write_csv(inv, &out, &env.catalog)?;
     let mut tail = String::new();
     if let (Some(t), Some(path)) = (telemetry.as_ref(), inv.get("telemetry")) {
         tail = format!("\n{}", write_telemetry(t, path)?);
@@ -659,41 +660,14 @@ fn metrics_cmd(inv: &Invocation) -> Result<String, CliError> {
     inv.check_known(&known)?;
     apply_log_level(inv)?;
     let telemetry = build_telemetry(inv, true)?.expect("forced telemetry");
-    let streamed_path = inv.get("source").filter(|_| !inv.has("materialize"));
-    let (env, out) = if let Some(path) = streamed_path {
-        let mut env = prepare_env(inv)?;
-        let mut source = open_source(inv, path, &env.catalog, &env.cluster)?;
-        let out = nodeshare_engine::run_streamed_with_telemetry(
-            source.as_mut(),
-            &env.truth,
-            env.sched.as_mut(),
-            &env.config,
-            &telemetry,
-        );
-        drop(source);
-        (env, out)
-    } else {
-        let mut p = prepare(inv)?;
-        let out = nodeshare_engine::run_with_telemetry(
-            &p.workload,
-            &p.env.truth,
-            p.env.sched.as_mut(),
-            &p.env.config,
-            &telemetry,
-        );
-        (p.env, out)
+    let mut env = prepare_env(inv)?;
+    let observe = Observe {
+        trace: false,
+        telemetry: Some(&telemetry),
     };
-    if !out.complete() {
-        return Err(CliError::Other(format!(
-            "{} jobs could never be scheduled on this cluster (first: {:?})",
-            out.unscheduled.len(),
-            out.unscheduled.first()
-        )));
-    }
-    if let Some(path) = inv.get("csv") {
-        std::fs::write(path, report::records_csv(&out, &env.catalog))
-            .map_err(|e| CliError::Io(path.to_string(), e))?;
-    }
+    let (out, _, _) = run_campaign(inv, &mut env, observe)?;
+    require_complete(&out)?;
+    write_csv(inv, &out, &env.catalog)?;
     if let Some(path) = inv.get("telemetry") {
         write_telemetry(&telemetry, path)?;
     }
@@ -713,39 +687,20 @@ fn audit_cmd(inv: &Invocation) -> Result<String, CliError> {
                 .into(),
         ));
     }
-    let streamed_path = inv.get("source").filter(|_| !inv.has("materialize"));
     // The auditor runs explicitly below, with the stricter queue-order
     // check on; disable the engine's own implicit audit-and-panic.
-    let (env, out, trace) = if let Some(path) = streamed_path {
-        let mut env = prepare_env(inv)?;
-        env.config.audit = false;
-        let mut source = open_source(inv, path, &env.catalog, &env.cluster)?;
-        let (out, trace) = nodeshare_engine::run_streamed_traced(
-            source.as_mut(),
-            &env.truth,
-            env.sched.as_mut(),
-            &env.config,
-        );
-        drop(source);
-        (env, out, trace)
-    } else {
-        let mut p = prepare(inv)?;
-        p.env.config.audit = false;
-        let (out, trace) = nodeshare_engine::run_traced(
-            &p.workload,
-            &p.env.truth,
-            p.env.sched.as_mut(),
-            &p.env.config,
-        );
-        (p.env, out, trace)
+    let mut env = prepare_env(inv)?;
+    env.config.audit = false;
+    let observe = Observe {
+        trace: true,
+        telemetry: None,
     };
+    let (out, trace, _) = run_campaign(inv, &mut env, observe)?;
+    let trace = trace.expect("tracing was requested");
     if let Some(path) = inv.get("trace") {
         std::fs::write(path, trace.to_json()).map_err(|e| CliError::Io(path.to_string(), e))?;
     }
-    if let Some(path) = inv.get("csv") {
-        std::fs::write(path, report::records_csv(&out, &env.catalog))
-            .map_err(|e| CliError::Io(path.to_string(), e))?;
-    }
+    write_csv(inv, &out, &env.catalog)?;
     let verdict = nodeshare_engine::Auditor::new(&env.truth, &env.config)
         .with_queue_order_check()
         .audit(&trace, &out);

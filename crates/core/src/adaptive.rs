@@ -228,22 +228,12 @@ mod tests {
         j
     }
 
-    fn traced(
-        world: &testkit::World,
-        policy: &mut dyn Scheduler,
-    ) -> (
-        nodeshare_engine::SimOutcome,
-        nodeshare_engine::DecisionTrace,
-    ) {
-        nodeshare_engine::run_traced(&world.workload, &world.matrix, policy, &world.config)
-    }
-
     #[test]
     fn rigid_workload_matches_easy_backfill_outcomes() {
         let jobs = vec![job(0, 3, 100.0), job(1, 4, 100.0), job(2, 1, 10.0)];
         let world = testkit::world(4, jobs);
-        let (adaptive, atrace) = traced(&world, &mut Adaptive::new());
-        let (easy, etrace) = traced(&world, &mut Backfill::easy());
+        let (adaptive, atrace) = testkit::simulate_traced(&world, &mut Adaptive::new());
+        let (easy, etrace) = testkit::simulate_traced(&world, &mut Backfill::easy());
         assert_eq!(adaptive.scheduler, "adaptive");
         assert_eq!(adaptive.records, easy.records);
         assert_eq!(
@@ -259,7 +249,7 @@ mod tests {
         // job 0 ends; Adaptive shrinks job 0 and starts job 1 early.
         let jobs = vec![mjob(0, 4, 400.0, 2, 4), job(1, 2, 50.0)];
         let world = testkit::world(4, jobs);
-        let (out, trace) = traced(&world, &mut Adaptive::new());
+        let (out, trace) = testkit::simulate_traced(&world, &mut Adaptive::new());
         assert!(out.records.iter().all(|r| !r.killed));
         let reshapes = trace
             .events()
@@ -298,7 +288,7 @@ mod tests {
     fn rigid_jobs_are_never_reshaped() {
         let jobs = vec![job(0, 4, 200.0), job(1, 2, 50.0), job(2, 1, 20.0)];
         let world = testkit::world(4, jobs);
-        let (_, trace) = traced(&world, &mut Adaptive::new());
+        let (_, trace) = testkit::simulate_traced(&world, &mut Adaptive::new());
         assert!(trace
             .events()
             .iter()

@@ -1,7 +1,7 @@
 //! Shared fixtures for policy unit tests (compiled only for tests).
 
 use nodeshare_cluster::{ClusterSpec, JobId, NodeSpec};
-use nodeshare_engine::{SimConfig, SimOutcome};
+use nodeshare_engine::{DecisionTrace, Observe, SimConfig, SimOutcome, SimTelemetry};
 use nodeshare_perf::{AppCatalog, AppId, CoRunTruth, ContentionModel, Predictor};
 use nodeshare_workload::{JobSpec, Workload};
 
@@ -57,21 +57,43 @@ pub fn simulate(world: &World, policy: &mut dyn nodeshare_engine::Scheduler) -> 
     nodeshare_engine::run(&world.workload, &world.matrix, policy, &world.config)
 }
 
+/// Runs the world under a policy through the engine's one entry point.
+fn simulate_observed(
+    world: &World,
+    policy: &mut dyn nodeshare_engine::Scheduler,
+    observe: Observe<'_>,
+) -> (SimOutcome, Option<DecisionTrace>) {
+    let mut source = world.workload.source(world.workload.len());
+    nodeshare_engine::simulate(&mut source, &world.matrix, policy, &world.config, observe)
+        .expect("in-memory workloads always deliver")
+}
+
 /// Runs the world under a policy with a telemetry sink attached,
 /// returning the outcome and the populated telemetry.
 pub fn simulate_with_telemetry(
     world: &World,
     policy: &mut dyn nodeshare_engine::Scheduler,
-) -> (SimOutcome, nodeshare_engine::SimTelemetry) {
-    let tele = nodeshare_engine::SimTelemetry::new(300.0);
-    let out = nodeshare_engine::run_with_telemetry(
-        &world.workload,
-        &world.matrix,
-        policy,
-        &world.config,
-        &tele,
-    );
+) -> (SimOutcome, SimTelemetry) {
+    let tele = SimTelemetry::new(300.0);
+    let observe = Observe {
+        trace: false,
+        telemetry: Some(&tele),
+    };
+    let (out, _) = simulate_observed(world, policy, observe);
     (out, tele)
+}
+
+/// Runs the world under a policy, returning the decision trace too.
+pub fn simulate_traced(
+    world: &World,
+    policy: &mut dyn nodeshare_engine::Scheduler,
+) -> (SimOutcome, DecisionTrace) {
+    let observe = Observe {
+        trace: true,
+        ..Observe::default()
+    };
+    let (out, trace) = simulate_observed(world, policy, observe);
+    (out, trace.expect("trace requested"))
 }
 
 /// The oracle predictor for the trinity catalog.

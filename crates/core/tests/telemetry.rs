@@ -5,7 +5,9 @@
 
 use nodeshare_cluster::{ClusterSpec, NodeSpec};
 use nodeshare_core::{Backfill, Pairing, PairingPolicy};
-use nodeshare_engine::{run, run_with_telemetry, SimConfig, SimTelemetry, TelemetrySample};
+use nodeshare_engine::{
+    run, simulate, Observe, Scheduler, SimConfig, SimOutcome, SimTelemetry, TelemetrySample,
+};
 use nodeshare_perf::{AppCatalog, CoRunTruth, ContentionModel, Predictor};
 use nodeshare_workload::{Workload, WorkloadSpec};
 
@@ -25,6 +27,23 @@ fn fixture() -> (Workload, CoRunTruth, SimConfig) {
     (workload, truth, config)
 }
 
+/// A run collecting telemetry into `telemetry`.
+fn simulate_telemetry(
+    w: &Workload,
+    truth: &CoRunTruth,
+    sched: &mut dyn Scheduler,
+    config: &SimConfig,
+    telemetry: &SimTelemetry,
+) -> SimOutcome {
+    let observe = Observe {
+        trace: false,
+        telemetry: Some(telemetry),
+    };
+    simulate(&mut w.source(w.len()), truth, sched, config, observe)
+        .expect("in-memory workloads always deliver")
+        .0
+}
+
 fn co_backfill(truth: &CoRunTruth) -> Backfill {
     let _ = truth;
     Backfill::co(Pairing::new(
@@ -38,7 +57,7 @@ fn telemetry_does_not_change_the_outcome() {
     let (w, truth, config) = fixture();
     let plain = run(&w, &truth, &mut Backfill::easy(), &config);
     let telemetry = SimTelemetry::new(300.0);
-    let telemetered = run_with_telemetry(&w, &truth, &mut Backfill::easy(), &config, &telemetry);
+    let telemetered = simulate_telemetry(&w, &truth, &mut Backfill::easy(), &config, &telemetry);
     assert_eq!(plain.records, telemetered.records);
     assert_eq!(plain.end_time, telemetered.end_time);
     assert_eq!(plain.rejected, telemetered.rejected);
@@ -48,7 +67,7 @@ fn telemetry_does_not_change_the_outcome() {
 fn jsonl_round_trips_and_conserves_node_counts() {
     let (w, truth, config) = fixture();
     let telemetry = SimTelemetry::new(300.0);
-    let out = run_with_telemetry(&w, &truth, &mut Backfill::easy(), &config, &telemetry);
+    let out = simulate_telemetry(&w, &truth, &mut Backfill::easy(), &config, &telemetry);
     assert!(out.complete());
     assert!(
         !out.records.is_empty(),
@@ -98,7 +117,7 @@ fn jsonl_round_trips_and_conserves_node_counts() {
 fn prometheus_exposition_has_all_core_families() {
     let (w, truth, config) = fixture();
     let telemetry = SimTelemetry::new(600.0);
-    let out = run_with_telemetry(&w, &truth, &mut Backfill::easy(), &config, &telemetry);
+    let out = simulate_telemetry(&w, &truth, &mut Backfill::easy(), &config, &telemetry);
     assert!(out.complete());
 
     let text = telemetry.prometheus();
@@ -130,7 +149,7 @@ fn pairing_counters_fire_for_sharing_policies() {
     let (w, truth, config) = fixture();
     let telemetry = SimTelemetry::new(600.0);
     let mut sched = co_backfill(&truth);
-    let out = run_with_telemetry(&w, &truth, &mut sched, &config, &telemetry);
+    let out = simulate_telemetry(&w, &truth, &mut sched, &config, &telemetry);
     assert!(out.complete());
     assert!(
         telemetry.sched.pairing_queries.get() > 0,

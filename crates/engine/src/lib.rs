@@ -13,10 +13,11 @@
 //!   stale ones are skipped,
 //! * [`view`] — the [`Scheduler`] trait and the context policies see
 //!   (estimates only — never true runtimes),
-//! * [`sim`] — the driver ([`run`]) wiring workload + cluster + pair
-//!   matrix + policy together; [`run_streamed`] feeds it from a chunked
-//!   [`nodeshare_workload::JobSource`] so million-job campaigns keep only
-//!   in-flight and queued jobs resident,
+//! * [`sim`] — the driver ([`simulate`]) wiring a chunked
+//!   [`nodeshare_workload::JobSource`] + cluster + pair matrix + policy
+//!   together, so million-job campaigns keep only in-flight and queued
+//!   jobs resident; [`Observe`] picks the trace and telemetry it records,
+//!   and [`run`] is the plain shorthand for an in-memory workload,
 //! * [`outcome`] — [`SimOutcome`] with per-job records and integrated
 //!   occupancy series,
 //! * [`telemetry`] — runtime observability ([`SimTelemetry`]): metric
@@ -47,9 +48,7 @@ pub use faults::{FailureModel, MaintenanceWindow};
 pub use outcome::SimOutcome;
 pub use progress::RunningJob;
 pub use sim::{
-    first_idle_nodes, run, run_streamed, run_streamed_traced, run_streamed_traced_with_telemetry,
-    run_streamed_with_telemetry, run_traced, run_traced_with_telemetry, run_with_telemetry,
-    SimConfig,
+    first_idle_nodes, run, run_streamed, run_streamed_traced, simulate, Observe, SimConfig,
 };
 pub use telemetry::{SchedTelemetry, SimTelemetry, TelemetrySample};
 pub use trace::{DecisionTrace, DownCause, StartReason, TraceEvent};

@@ -12,7 +12,7 @@ use crate::view::{summary_of, Decision, SchedContext, Scheduler};
 use nodeshare_cluster::{AdminState, Allocation, Cluster, ClusterSpec, JobId, NodeId, ShareMode};
 use nodeshare_metrics::{JobRecord, StepAccum, StepSeries};
 use nodeshare_perf::CoRunTruth;
-use nodeshare_workload::{JobSource, JobSpec, Seconds, Workload};
+use nodeshare_workload::{JobSource, JobSpec, Seconds, SourceError, Workload};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Engine configuration.
@@ -55,9 +55,10 @@ pub struct SimConfig {
     pub max_events: u64,
     /// Record a [`DecisionTrace`] and replay-audit it against the outcome
     /// when the run ends, panicking on any violated invariant (see
-    /// [`crate::audit::Auditor`]). Defaults to on in debug builds (so
-    /// every test run is audited) and off in release builds (benchmark
-    /// runs pay no tracing cost).
+    /// [`crate::audit::Auditor`]). [`simulate`] honours it whatever it is
+    /// asked to observe, and so does every function forwarding to it.
+    /// Defaults to on in debug builds (so every test run is audited) and
+    /// off in release builds (benchmark runs pay no tracing cost).
     pub audit: bool,
     /// Event-queue implementation. The calendar queue (default) keeps
     /// push/pop near O(1) at million-entry depths; the binary heap is
@@ -72,7 +73,9 @@ pub struct SimConfig {
     /// `records` and the series come back empty — so per-job metrics and
     /// history-driven policies (which read `SchedContext::completed`)
     /// see nothing. Incompatible with `audit` (the auditor replays
-    /// records).
+    /// records), so lean runs set `audit = false`; [`simulate`] panics
+    /// on the combination. A lean run may still return a trace or feed
+    /// telemetry.
     pub retain_detail: bool,
 }
 
@@ -97,167 +100,139 @@ impl SimConfig {
     }
 }
 
-/// Jobs per chunk when an in-memory [`Workload`] is streamed through the
-/// engine: large enough to amortize refill bookkeeping, small enough that
-/// the pending buffer stays cache-resident.
+/// Jobs per chunk when [`run`] streams an in-memory [`Workload`] through
+/// the engine: large enough to amortize refill bookkeeping, small enough
+/// that the pending buffer stays cache-resident.
 const STREAM_CHUNK_JOBS: usize = 8192;
 
-/// Runs `workload` under `scheduler` and returns the outcome.
+/// What a [`simulate`] call observes besides the outcome. The default
+/// observes nothing. Observers are read-only: no combination changes a
+/// scheduling decision, the outcome, or the trace.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Observe<'a> {
+    /// Record the full [`DecisionTrace`] and return it.
+    pub trace: bool,
+    /// Collect runtime telemetry here: engine counters, gauges and
+    /// latency histograms, scheduler perf counters (exposed to the policy
+    /// through [`SchedContext::telemetry`]), and a
+    /// [`crate::telemetry::TelemetrySample`] every
+    /// `telemetry.sample_interval` seconds of simulation time.
+    pub telemetry: Option<&'a SimTelemetry>,
+}
+
+/// Runs the jobs `source` delivers under `scheduler` — the one engine
+/// entry point.
 ///
 /// Ground-truth co-run rates come from `truth`; the policy never sees
-/// them (it plans with whatever predictor it was built with).
+/// them (it plans with whatever predictor it was built with). Only
+/// in-flight and queued jobs stay resident: the engine pulls the next
+/// chunk whenever the earliest pending event reaches the source's
+/// horizon. A materialized [`Workload`] is just the trivial source
+/// ([`Workload::source`]); the event order, and therefore every outcome
+/// byte, does not depend on how jobs are chunked. One caveat for
+/// tick-driven configs (`sched_tick`): a source that cannot report
+/// exhaustion eagerly — e.g. a trace file whose trailing lines are all
+/// filtered out — may keep the periodic tick armed slightly longer,
+/// adding tick events after the last job finished. All bundled sources
+/// report exhaustion eagerly. Likewise the `event_queue` gauge in
+/// telemetry samples counts *delivered-but-unfired* arrivals only, so it
+/// follows the chunking; counters do not.
 ///
-/// Internally this streams the workload through [`run_streamed`] — a
-/// materialized workload is just the trivial [`JobSource`]. The event
-/// order, and therefore every outcome byte, is identical either way.
+/// The trace comes back only when `observe.trace` asks for it. When
+/// `config.audit` is set, the run is traced whatever `observe` says and
+/// replay-audited ([`Auditor`]) before returning.
+///
+/// # Errors
+/// Returns the source's own error (I/O, parse) as soon as it occurs; the
+/// jobs simulated until then are discarded.
 ///
 /// # Panics
 /// Panics when the policy returns an inapplicable decision (unknown job,
 /// wrong node count, occupied nodes, share-rule violations) — those are
-/// policy bugs, not recoverable conditions — or when `max_events` is
-/// exceeded.
+/// policy bugs, not recoverable conditions — when `max_events` is
+/// exceeded, when the audit finds a violation, and when the source
+/// breaks its contract: delivery out of `(submit, id)` order, invalid
+/// specs, horizon violations, or no progress.
+pub fn simulate(
+    source: &mut dyn JobSource,
+    truth: &CoRunTruth,
+    scheduler: &mut dyn Scheduler,
+    config: &SimConfig,
+    observe: Observe<'_>,
+) -> Result<(SimOutcome, Option<DecisionTrace>), SourceError> {
+    let traced = observe.trace || config.audit;
+    let (outcome, trace) =
+        Engine::new(source, truth, config, traced, observe.telemetry).run(scheduler)?;
+    if let Some(trace) = trace.as_ref().filter(|_| config.audit) {
+        if let Err(violations) = Auditor::new(truth, config).audit(trace, &outcome) {
+            let mut msg = format!(
+                "audit of scheduler {:?} found {} violation(s):",
+                outcome.scheduler,
+                violations.len()
+            );
+            for v in &violations {
+                msg.push_str("\n  ");
+                msg.push_str(&v.to_string());
+            }
+            panic!("{msg}");
+        }
+    }
+    Ok((outcome, trace.filter(|_| observe.trace)))
+}
+
+/// [`simulate`] over an in-memory `workload`, observing nothing.
+///
+/// # Panics
+/// As [`simulate`].
 pub fn run(
     workload: &Workload,
     truth: &CoRunTruth,
     scheduler: &mut dyn Scheduler,
     config: &SimConfig,
 ) -> SimOutcome {
-    let mut source = workload.source(STREAM_CHUNK_JOBS);
-    run_streamed(&mut source, truth, scheduler, config)
+    run_streamed(
+        &mut workload.source(STREAM_CHUNK_JOBS),
+        truth,
+        scheduler,
+        config,
+    )
 }
 
-/// Like [`run`], but always records and returns the full
-/// [`DecisionTrace`] alongside the outcome (no implicit audit — callers
-/// hand the trace to an [`Auditor`] themselves, possibly with extra
-/// checks enabled, or export it).
-pub fn run_traced(
-    workload: &Workload,
-    truth: &CoRunTruth,
-    scheduler: &mut dyn Scheduler,
-    config: &SimConfig,
-) -> (SimOutcome, DecisionTrace) {
-    let mut source = workload.source(STREAM_CHUNK_JOBS);
-    run_streamed_traced(&mut source, truth, scheduler, config)
-}
-
-/// Like [`run`], but collects runtime telemetry into `telemetry`: engine
-/// counters/gauges/latency histograms, scheduler perf counters (exposed
-/// to the policy through [`SchedContext::telemetry`]), and periodic
-/// [`crate::telemetry::TelemetrySample`]s every
-/// `telemetry.sample_interval` seconds of simulation time.
-///
-/// Telemetry does not alter scheduling decisions or outcomes — the same
-/// workload/config/policy produces an identical [`SimOutcome`] with or
-/// without it. No audit is implied; compose with [`run_traced`] manually
-/// if both are wanted.
-pub fn run_with_telemetry(
-    workload: &Workload,
-    truth: &CoRunTruth,
-    scheduler: &mut dyn Scheduler,
-    config: &SimConfig,
-    telemetry: &SimTelemetry,
-) -> SimOutcome {
-    let mut source = workload.source(STREAM_CHUNK_JOBS);
-    run_streamed_with_telemetry(&mut source, truth, scheduler, config, telemetry)
-}
-
-/// [`run_traced`] and [`run_with_telemetry`] combined: records the full
-/// decision trace *and* collects telemetry, so a campaign can be both
-/// replay-audited and observed in one run. No implicit audit.
-pub fn run_traced_with_telemetry(
-    workload: &Workload,
-    truth: &CoRunTruth,
-    scheduler: &mut dyn Scheduler,
-    config: &SimConfig,
-    telemetry: &SimTelemetry,
-) -> (SimOutcome, DecisionTrace) {
-    let mut source = workload.source(STREAM_CHUNK_JOBS);
-    run_streamed_traced_with_telemetry(&mut source, truth, scheduler, config, telemetry)
-}
-
-/// Runs a streaming [`JobSource`] under `scheduler` — the million-job
-/// entry point. Only in-flight and queued jobs stay resident; the engine
-/// pulls the next chunk whenever the earliest pending event reaches the
-/// source's horizon.
-///
-/// For any source, the simulated event order is identical to
-/// materializing the same jobs into a [`Workload`] and calling [`run`]
-/// (arrivals occupy a dedicated tie-break band in the event queue, so
-/// late insertion cannot reorder them). One caveat for tick-driven
-/// configs (`sched_tick`): a source that cannot report exhaustion
-/// eagerly — e.g. a trace file whose trailing lines are all filtered
-/// out — may keep the periodic tick armed slightly longer than the
-/// materialized run, adding tick events after the last job finished.
-/// All bundled sources report exhaustion eagerly.
+/// [`simulate`] observing nothing. Kept with this signature because the
+/// benchmark driver (`nsbench`) links it; new code calls [`simulate`].
 ///
 /// # Panics
-/// Panics on policy bugs (as [`run`]) and on a misbehaving source:
-/// delivery out of `(submit, id)` order, invalid specs, horizon
-/// violations, no progress, or an `Err` from the source itself.
+/// As [`simulate`], and on an `Err` from the source.
 pub fn run_streamed(
     source: &mut dyn JobSource,
     truth: &CoRunTruth,
     scheduler: &mut dyn Scheduler,
     config: &SimConfig,
 ) -> SimOutcome {
-    if !config.audit {
-        let (outcome, _) = Engine::new(source, truth, config, false, None).run(scheduler);
-        return outcome;
-    }
-    let (outcome, trace) = run_streamed_traced(source, truth, scheduler, config);
-    if let Err(violations) = Auditor::new(truth, config).audit(&trace, &outcome) {
-        let mut msg = format!(
-            "audit of scheduler {:?} found {} violation(s):",
-            outcome.scheduler,
-            violations.len()
-        );
-        for v in &violations {
-            msg.push_str("\n  ");
-            msg.push_str(&v.to_string());
-        }
-        panic!("{msg}");
-    }
-    outcome
+    simulate(source, truth, scheduler, config, Observe::default())
+        .unwrap_or_else(|e| panic!("job source failed: {e}"))
+        .0
 }
 
-/// [`run_streamed`] recording the full [`DecisionTrace`] (no implicit
-/// audit).
+/// [`simulate`] recording and returning the trace. Kept with this
+/// signature because the benchmark driver (`nsbench`) links it; new code
+/// calls [`simulate`].
+///
+/// # Panics
+/// As [`run_streamed`].
 pub fn run_streamed_traced(
     source: &mut dyn JobSource,
     truth: &CoRunTruth,
     scheduler: &mut dyn Scheduler,
     config: &SimConfig,
 ) -> (SimOutcome, DecisionTrace) {
-    let (outcome, trace) = Engine::new(source, truth, config, true, None).run(scheduler);
-    // detlint: allow(D5, run_traced always requests tracing)
-    (outcome, trace.expect("tracing was requested"))
-}
-
-/// [`run_streamed`] collecting runtime telemetry. Note the `event_queue`
-/// gauge in periodic samples reflects *delivered-but-unfired* arrivals
-/// only, so it legitimately differs from a materialized run (where every
-/// arrival is queued up front); counters and outcomes do not differ.
-pub fn run_streamed_with_telemetry(
-    source: &mut dyn JobSource,
-    truth: &CoRunTruth,
-    scheduler: &mut dyn Scheduler,
-    config: &SimConfig,
-    telemetry: &SimTelemetry,
-) -> SimOutcome {
-    let (outcome, _) = Engine::new(source, truth, config, false, Some(telemetry)).run(scheduler);
-    outcome
-}
-
-/// [`run_streamed_traced`] and [`run_streamed_with_telemetry`] combined.
-pub fn run_streamed_traced_with_telemetry(
-    source: &mut dyn JobSource,
-    truth: &CoRunTruth,
-    scheduler: &mut dyn Scheduler,
-    config: &SimConfig,
-    telemetry: &SimTelemetry,
-) -> (SimOutcome, DecisionTrace) {
-    let (outcome, trace) = Engine::new(source, truth, config, true, Some(telemetry)).run(scheduler);
-    // detlint: allow(D5, run_traced always requests tracing)
+    let observe = Observe {
+        trace: true,
+        ..Observe::default()
+    };
+    let (outcome, trace) = simulate(source, truth, scheduler, config, observe)
+        .unwrap_or_else(|e| panic!("job source failed: {e}"));
+    // detlint: allow(D5, simulate returns the trace whenever it is requested)
     (outcome, trace.expect("tracing was requested"))
 }
 
@@ -423,19 +398,21 @@ impl<'a> Engine<'a> {
     /// runs pop the exact same event sequence: an arrival can only be
     /// delivered late if its submit is at or past the horizon, and we
     /// never pop at or past the horizon.
-    fn refill(&mut self) {
+    fn refill(&mut self) -> Result<(), SourceError> {
         while !self.source_done {
             match self.events.peek_time() {
                 Some(t) if t < self.horizon => break,
-                _ => self.pull_chunk(),
+                _ => self.pull_chunk()?,
             }
         }
+        Ok(())
     }
 
     /// One `next_chunk` call: validates, queues arrival events, and
-    /// advances the horizon. Panics on a misbehaving source — a silent
-    /// repair would quietly change results.
-    fn pull_chunk(&mut self) {
+    /// advances the horizon. Passes the source's own `Err` (bad input)
+    /// through; panics on a misbehaving source — a silent repair would
+    /// quietly change results.
+    fn pull_chunk(&mut self) -> Result<(), SourceError> {
         let mut buf = std::mem::take(&mut self.chunk_buf);
         buf.clear();
         let res = self.source.next_chunk(&mut buf);
@@ -462,20 +439,20 @@ impl<'a> Engine<'a> {
             self.pending.push_back(job);
         }
         self.chunk_buf = buf;
-        match res {
-            Ok(Some(h)) => {
+        match res? {
+            Some(h) => {
                 assert!(
                     delivered > 0 || h > self.horizon,
                     "job source made no progress (no jobs, horizon stuck at {h})"
                 );
                 self.horizon = self.horizon.max(h);
             }
-            Ok(None) => {
+            None => {
                 self.source_done = true;
                 self.horizon = f64::INFINITY;
             }
-            Err(e) => panic!("job source failed: {e}"),
         }
+        Ok(())
     }
 
     /// Records the waiting-job count on the depth accumulator and, in
@@ -488,7 +465,10 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn run(mut self, scheduler: &mut dyn Scheduler) -> (SimOutcome, Option<DecisionTrace>) {
+    fn run(
+        mut self,
+        scheduler: &mut dyn Scheduler,
+    ) -> Result<(SimOutcome, Option<DecisionTrace>), SourceError> {
         if let Some(t) = self.telemetry {
             t.note_strategy(scheduler.name());
             nodeshare_obs::debug!(
@@ -500,7 +480,7 @@ impl<'a> Engine<'a> {
             );
         }
         loop {
-            self.refill();
+            self.refill()?;
             let Some((time, event)) = self.events.pop() else {
                 break;
             };
@@ -726,7 +706,7 @@ impl<'a> Engine<'a> {
             snapshots: self.snapshots,
             rejected: self.rejected,
         };
-        (outcome, trace)
+        Ok((outcome, trace))
     }
 
     /// Calls the policy until it has nothing more to start.

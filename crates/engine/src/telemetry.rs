@@ -252,9 +252,9 @@ fn fmt_f64(v: f64) -> String {
 /// All run-scoped telemetry: the registry, the pre-registered engine
 /// instruments, scheduler instruments, and the JSONL sample buffer.
 ///
-/// Pass one to [`crate::sim::run_with_telemetry`]; afterwards export with
-/// [`SimTelemetry::prometheus`] and [`SimTelemetry::jsonl`]. A
-/// `SimTelemetry` is single-run state — reusing one across runs
+/// Attach one through [`crate::sim::Observe::telemetry`]; afterwards
+/// export with [`SimTelemetry::prometheus`] and [`SimTelemetry::jsonl`].
+/// A `SimTelemetry` is single-run state — reusing one across runs
 /// accumulates counters (which is occasionally what you want for
 /// fleet-style aggregation, but samples interleave).
 #[derive(Debug)]

@@ -1,7 +1,7 @@
 //! Structured decision traces.
 //!
 //! When tracing is on ([`crate::SimConfig::audit`] or
-//! [`crate::sim::run_traced`]), the engine records every scheduler-visible
+//! [`crate::sim::Observe::trace`]), the engine records every scheduler-visible
 //! state change — submissions, start decisions with their justification,
 //! completions, kills, requeues, node state changes, and occupancy deltas
 //! — as a flat, time-ordered event list. The trace is the input to the

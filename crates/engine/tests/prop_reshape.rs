@@ -7,8 +7,8 @@ use std::collections::BTreeMap;
 
 use nodeshare_cluster::{ClusterSpec, JobId, NodeId, NodeSpec, ShareMode};
 use nodeshare_engine::{
-    first_idle_nodes, run_traced, Auditor, Decision, DecisionTrace, SchedContext, Scheduler,
-    SimConfig, TraceEvent,
+    first_idle_nodes, simulate, Auditor, Decision, DecisionTrace, Observe, SchedContext, Scheduler,
+    SimConfig, SimOutcome, TraceEvent,
 };
 use nodeshare_perf::{AppCatalog, AppId, CoRunTruth, ContentionModel};
 use nodeshare_workload::{JobSpec, Malleability, Workload};
@@ -171,6 +171,28 @@ fn rebuild_busy_core_seconds(trace: &DecisionTrace, cores_per_node: f64) -> f64 
     busy
 }
 
+/// A run returning its decision trace.
+fn simulate_traced(
+    workload: &Workload,
+    truth: &CoRunTruth,
+    policy: &mut dyn Scheduler,
+    config: &SimConfig,
+) -> (SimOutcome, DecisionTrace) {
+    let observe = Observe {
+        trace: true,
+        ..Observe::default()
+    };
+    let (out, trace) = simulate(
+        &mut workload.source(workload.len()),
+        truth,
+        policy,
+        config,
+        observe,
+    )
+    .expect("in-memory workloads always deliver");
+    (out, trace.expect("trace requested"))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -186,7 +208,7 @@ proptest! {
     ) {
         let (workload, truth, config) = rig(n_jobs, wseed);
         let mut policy = ReshapingFcfs::new(sched_seed, budget);
-        let (out, trace) = run_traced(&workload, &truth, &mut policy, &config);
+        let (out, trace) = simulate_traced(&workload, &truth, &mut policy, &config);
         prop_assert!(out.complete(), "unscheduled {:?}", out.unscheduled);
 
         let summary = Auditor::new(&truth, &config)
@@ -204,7 +226,7 @@ proptest! {
         prop_assert!(traced_reshapes <= 40, "budget must bound the churn");
 
         let mut policy = ReshapingFcfs::new(sched_seed, budget);
-        let (out2, trace2) = run_traced(&workload, &truth, &mut policy, &config);
+        let (out2, trace2) = simulate_traced(&workload, &truth, &mut policy, &config);
         prop_assert!(trace == trace2, "decision traces diverge across reruns");
         prop_assert!(out == out2, "outcomes diverge across reruns");
     }
@@ -221,7 +243,7 @@ proptest! {
     ) {
         let (workload, truth, config) = rig(n_jobs, wseed);
         let mut policy = ReshapingFcfs::new(sched_seed, budget);
-        let (out, trace) = run_traced(&workload, &truth, &mut policy, &config);
+        let (out, trace) = simulate_traced(&workload, &truth, &mut policy, &config);
         prop_assert!(out.complete());
 
         let cores = f64::from(config.cluster.node.cores());

@@ -3,8 +3,8 @@
 //! [`TraceData`] is a flat, time-ordered event list with plain field
 //! types — the common denominator between the two ways a trace reaches
 //! the reporter: in-process (a live [`nodeshare_engine::DecisionTrace`]
-//! from `run_traced`) and from disk (the JSON written by
-//! `nodeshare audit --trace` / the campaign orchestrator). Both feed the
+//! from `simulate` with `Observe::trace`) and from disk (the JSON written
+//! by `nodeshare audit --trace` / the campaign orchestrator). Both feed the
 //! same [`crate::analysis`] and exporters, so reports are identical
 //! whichever road the trace took.
 

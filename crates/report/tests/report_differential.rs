@@ -12,7 +12,7 @@
 
 use nodeshare_cluster::ClusterSpec;
 use nodeshare_core::StrategyConfig;
-use nodeshare_engine::{run_traced, SimConfig};
+use nodeshare_engine::{simulate, DecisionTrace, Observe, Scheduler, SimConfig, SimOutcome};
 use nodeshare_perf::{AppCatalog, CoRunTruth, ContentionModel};
 use nodeshare_report::{JsonValue, Report, ReportOptions, TraceData};
 use nodeshare_workload::{ArrivalProcess, Workload, WorkloadSpec};
@@ -22,6 +22,28 @@ fn saturated_workload(catalog: &AppCatalog, seed: u64, n_jobs: usize) -> Workloa
     spec.n_jobs = n_jobs;
     spec.arrival = ArrivalProcess::Poisson { rate: 0.0080 };
     spec.generate(catalog)
+}
+
+/// A run returning its decision trace.
+fn simulate_traced(
+    workload: &Workload,
+    matrix: &CoRunTruth,
+    sched: &mut dyn Scheduler,
+    config: &SimConfig,
+) -> (SimOutcome, DecisionTrace) {
+    let observe = Observe {
+        trace: true,
+        ..Observe::default()
+    };
+    let (out, trace) = simulate(
+        &mut workload.source(workload.len()),
+        matrix,
+        sched,
+        config,
+        observe,
+    )
+    .expect("in-memory workloads always deliver");
+    (out, trace.expect("trace requested"))
 }
 
 /// Trace-derived aggregates equal the engine's record-derived metrics,
@@ -38,7 +60,7 @@ fn report_aggregates_match_campaign_metrics() {
     let workload = saturated_workload(&catalog, 17, 70);
     for cfg in StrategyConfig::lineup() {
         let mut sched = cfg.build(&catalog, &model);
-        let (out, trace) = run_traced(&workload, &matrix, sched.as_mut(), &config);
+        let (out, trace) = simulate_traced(&workload, &matrix, sched.as_mut(), &config);
         assert!(out.complete(), "{}", cfg.label());
         let metrics = out.metrics(&cluster);
 
@@ -142,7 +164,7 @@ fn json_and_in_process_reports_are_identical() {
     let workload = saturated_workload(&catalog, 5, 50);
     let cfg = &StrategyConfig::lineup()[0];
     let mut sched = cfg.build(&catalog, &model);
-    let (_, trace) = run_traced(&workload, &matrix, sched.as_mut(), &config);
+    let (_, trace) = simulate_traced(&workload, &matrix, sched.as_mut(), &config);
 
     let live = TraceData::from_trace(&trace);
     let parsed = TraceData::parse_json(&trace.to_json()).expect("trace JSON parses");
@@ -171,7 +193,7 @@ fn perfetto_export_is_schema_valid() {
         .find(|c| c.kind.shares())
         .expect("lineup has a sharing strategy");
     let mut sched = cfg.build(&catalog, &model);
-    let (_, trace) = run_traced(&workload, &matrix, sched.as_mut(), &config);
+    let (_, trace) = simulate_traced(&workload, &matrix, sched.as_mut(), &config);
     assert!(
         trace.shared_start_count() > 0,
         "workload must exercise sharing"

@@ -82,13 +82,16 @@ impl std::fmt::Display for SwfError {
 impl std::error::Error for SwfError {}
 
 impl From<SwfError> for SourceError {
+    /// The line moves into [`SourceError::line`], and the message keeps
+    /// only what follows it: `SourceError`'s `Display` adds the prefix.
     fn from(e: SwfError) -> Self {
-        let line = match e {
-            SwfError::TooFewFields { line, .. } | SwfError::BadField { line, .. } => line,
-        };
-        SourceError {
-            line: Some(line),
-            message: e.to_string(),
+        match e {
+            SwfError::TooFewFields { line, found } => {
+                SourceError::at_line(line, format!("expected 18 fields, found {found}"))
+            }
+            SwfError::BadField { line, field, token } => {
+                SourceError::at_line(line, format!("field {field}: cannot parse {token:?}"))
+            }
         }
     }
 }
@@ -528,6 +531,21 @@ mod tests {
         let mut src = SwfSource::new(text.as_bytes(), &catalog, SwfImportOptions::default());
         let err = crate::source::collect_source(&mut src).unwrap_err();
         assert_eq!(err.line, Some(2));
+    }
+
+    #[test]
+    fn source_error_names_the_line_once() {
+        for (text, want) in [
+            ("1 2 3\n", "line 1: expected 18 fields, found 3"),
+            (
+                "1 x 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18\n",
+                "line 1: field 2: cannot parse \"x\"",
+            ),
+        ] {
+            let shown = SourceError::from(parse(text).unwrap_err()).to_string();
+            assert_eq!(shown, want);
+            assert_eq!(shown.matches("line ").count(), 1, "{shown}");
+        }
     }
 
     #[test]

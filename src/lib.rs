@@ -58,8 +58,8 @@ pub mod prelude {
         StrategyConfig, StrategyKind,
     };
     pub use nodeshare_engine::{
-        run, run_traced, AuditSummary, Auditor, Decision, DecisionTrace, SchedContext, Scheduler,
-        SimConfig, SimOutcome, StartReason, TraceEvent, Violation,
+        run, simulate, AuditSummary, Auditor, Decision, DecisionTrace, Observe, SchedContext,
+        Scheduler, SimConfig, SimOutcome, StartReason, TraceEvent, Violation,
     };
     pub use nodeshare_metrics::{CampaignMetrics, JobRecord, Summary, Table};
     pub use nodeshare_perf::{

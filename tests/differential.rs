@@ -22,6 +22,55 @@ fn saturated_workload(catalog: &AppCatalog, seed: u64, n_jobs: usize) -> Workloa
     spec.generate(catalog)
 }
 
+/// Runs `workload` through the engine's one entry point, observing what
+/// `observe` asks for.
+fn simulate_with(
+    workload: &Workload,
+    matrix: &CoRunTruth,
+    sched: &mut dyn Scheduler,
+    config: &SimConfig,
+    observe: Observe<'_>,
+) -> (SimOutcome, Option<DecisionTrace>) {
+    simulate(
+        &mut workload.source(workload.len()),
+        matrix,
+        sched,
+        config,
+        observe,
+    )
+    .expect("in-memory workloads always deliver")
+}
+
+/// A run returning its decision trace.
+fn simulate_traced(
+    workload: &Workload,
+    matrix: &CoRunTruth,
+    sched: &mut dyn Scheduler,
+    config: &SimConfig,
+) -> (SimOutcome, DecisionTrace) {
+    let observe = Observe {
+        trace: true,
+        ..Observe::default()
+    };
+    let (out, trace) = simulate_with(workload, matrix, sched, config, observe);
+    (out, trace.expect("trace requested"))
+}
+
+/// A run collecting telemetry into `tele`.
+fn simulate_telemetry(
+    workload: &Workload,
+    matrix: &CoRunTruth,
+    sched: &mut dyn Scheduler,
+    config: &SimConfig,
+    tele: &nodeshare::engine::SimTelemetry,
+) -> SimOutcome {
+    let observe = Observe {
+        trace: false,
+        telemetry: Some(tele),
+    };
+    simulate_with(workload, matrix, sched, config, observe).0
+}
+
 /// Every strategy in the lineup, on shared seeds, passes a full replay
 /// audit (including the queue-order justification check) and schedules
 /// exactly the same job set.
@@ -37,7 +86,7 @@ fn lineup_passes_audit_on_shared_seeds() {
         let mut scheduled: Option<Vec<JobId>> = None;
         for cfg in StrategyConfig::lineup() {
             let mut sched = cfg.build(&catalog, &model);
-            let (out, trace) = run_traced(&workload, &matrix, sched.as_mut(), &config);
+            let (out, trace) = simulate_traced(&workload, &matrix, sched.as_mut(), &config);
             assert!(out.complete(), "{} seed {seed}", cfg.label());
 
             let summary = Auditor::new(&matrix, &config)
@@ -81,7 +130,7 @@ fn exclusive_strategies_never_share() {
             continue;
         }
         let mut sched = cfg.build(&catalog, &model);
-        let (out, trace) = run_traced(&workload, &matrix, sched.as_mut(), &config);
+        let (out, trace) = simulate_traced(&workload, &matrix, sched.as_mut(), &config);
         let summary = Auditor::new(&matrix, &config)
             .audit(&trace, &out)
             .unwrap_or_else(|vs| panic!("{}: {}", cfg.label(), vs[0]));
@@ -110,7 +159,7 @@ fn sharing_dominates_exclusive_when_saturated() {
 
         let run_one = |cfg: &StrategyConfig| {
             let mut sched = cfg.build(&catalog, &model);
-            let (out, trace) = run_traced(&workload, &matrix, sched.as_mut(), &config);
+            let (out, trace) = simulate_traced(&workload, &matrix, sched.as_mut(), &config);
             let summary = Auditor::new(&matrix, &config)
                 .audit(&trace, &out)
                 .unwrap_or_else(|vs| panic!("{}: {}", cfg.label(), vs[0]));
@@ -145,9 +194,10 @@ fn optimized_schedulers_match_reference_bit_for_bit() {
         let workload = saturated_workload(&catalog, seed, 70);
         for cfg in &lineup {
             let mut fast = cfg.build(&catalog, &model);
-            let (out_fast, trace_fast) = run_traced(&workload, &matrix, fast.as_mut(), &config);
+            let (out_fast, trace_fast) =
+                simulate_traced(&workload, &matrix, fast.as_mut(), &config);
             let mut refr = cfg.build_reference(&catalog, &model);
-            let (out_ref, trace_ref) = run_traced(&workload, &matrix, refr.as_mut(), &config);
+            let (out_ref, trace_ref) = simulate_traced(&workload, &matrix, refr.as_mut(), &config);
             assert_eq!(
                 trace_fast.events().len(),
                 trace_ref.events().len(),
@@ -174,7 +224,7 @@ fn optimized_schedulers_match_reference_bit_for_bit() {
 /// telemetry sink is attached.
 #[test]
 fn optimized_schedulers_match_reference_telemetry() {
-    use nodeshare::engine::{run_with_telemetry, SimTelemetry};
+    use nodeshare::engine::SimTelemetry;
     let (catalog, model, matrix) = world();
     let mut config = SimConfig::new(ClusterSpec::evaluation());
     config.audit = false;
@@ -191,9 +241,9 @@ fn optimized_schedulers_match_reference_telemetry() {
         let tele_fast = SimTelemetry::new(300.0);
         let tele_ref = SimTelemetry::new(300.0);
         let mut fast = cfg.build(&catalog, &model);
-        let out_fast = run_with_telemetry(&workload, &matrix, fast.as_mut(), &config, &tele_fast);
+        let out_fast = simulate_telemetry(&workload, &matrix, fast.as_mut(), &config, &tele_fast);
         let mut refr = cfg.build_reference(&catalog, &model);
-        let out_ref = run_with_telemetry(&workload, &matrix, refr.as_mut(), &config, &tele_ref);
+        let out_ref = simulate_telemetry(&workload, &matrix, refr.as_mut(), &config, &tele_ref);
         assert!(out_fast == out_ref, "{}: outcomes diverge", cfg.label());
         for (name, a, b) in [
             (
@@ -246,9 +296,10 @@ fn conservative_matches_reference_on_every_workload_mix() {
             let workload = spec.generate(&catalog);
 
             let mut fast = cfg.build(&catalog, &model);
-            let (out_fast, trace_fast) = run_traced(&workload, &matrix, fast.as_mut(), &config);
+            let (out_fast, trace_fast) =
+                simulate_traced(&workload, &matrix, fast.as_mut(), &config);
             let mut refr = cfg.build_reference(&catalog, &model);
-            let (out_ref, trace_ref) = run_traced(&workload, &matrix, refr.as_mut(), &config);
+            let (out_ref, trace_ref) = simulate_traced(&workload, &matrix, refr.as_mut(), &config);
 
             assert!(
                 trace_fast == trace_ref,
@@ -324,7 +375,7 @@ fn auditor_catches_corrupted_incremental_profile() {
 
     // Control: the untampered optimized path passes the queue-order audit.
     let mut clean = Conservative::new();
-    let (out, trace) = run_traced(&workload, &matrix, &mut clean, &config);
+    let (out, trace) = simulate_traced(&workload, &matrix, &mut clean, &config);
     assert!(out.complete());
     Auditor::new(&matrix, &config)
         .with_queue_order_check()
@@ -337,7 +388,7 @@ fn auditor_catches_corrupted_incremental_profile() {
         at: 10.0,
         fired: false,
     };
-    let (out, trace) = run_traced(&workload, &matrix, &mut sched, &config);
+    let (out, trace) = simulate_traced(&workload, &matrix, &mut sched, &config);
     assert!(sched.fired);
     assert!(out.complete(), "corruption delays but must not wedge");
 
@@ -433,10 +484,12 @@ fn parallel_campaign_is_bit_identical_to_serial() {
 /// telemetry layer (which arms the scheduler phase-span timers), and
 /// generating reports all leave the simulation outcome bit-identical to
 /// the plain telemetry-off `run`, across the full strategy lineup — and
-/// report generation itself is deterministic.
+/// report generation itself is deterministic. The whole observer matrix
+/// (trace × telemetry, with `config.audit` off and on) agrees on the
+/// outcome, the telemetry counters and samples, and the trace.
 #[test]
 fn report_and_phase_spans_leave_outcomes_bit_identical() {
-    use nodeshare::engine::{run_traced_with_telemetry, run_with_telemetry, SimTelemetry};
+    use nodeshare::engine::SimTelemetry;
     use nodeshare::report::{Report, ReportOptions};
     use nodeshare_bench::campaign::trace_hash;
 
@@ -456,7 +509,7 @@ fn report_and_phase_spans_leave_outcomes_bit_identical() {
         // Tracing must not perturb the simulation.
         let (traced_out, trace) = {
             let mut sched = cfg.build(&catalog, &model);
-            run_traced(&workload, &matrix, sched.as_mut(), &config)
+            simulate_traced(&workload, &matrix, sched.as_mut(), &config)
         };
         assert!(
             baseline == traced_out,
@@ -469,7 +522,7 @@ fn report_and_phase_spans_leave_outcomes_bit_identical() {
         let tele = SimTelemetry::new(300.0);
         let tele_out = {
             let mut sched = cfg.build(&catalog, &model);
-            run_with_telemetry(&workload, &matrix, sched.as_mut(), &config, &tele)
+            simulate_telemetry(&workload, &matrix, sched.as_mut(), &config, &tele)
         };
         assert!(
             baseline == tele_out,
@@ -480,7 +533,12 @@ fn report_and_phase_spans_leave_outcomes_bit_identical() {
         let tele2 = SimTelemetry::new(300.0);
         let (both_out, both_trace) = {
             let mut sched = cfg.build(&catalog, &model);
-            run_traced_with_telemetry(&workload, &matrix, sched.as_mut(), &config, &tele2)
+            let observe = Observe {
+                trace: true,
+                telemetry: Some(&tele2),
+            };
+            let (out, trace) = simulate_with(&workload, &matrix, sched.as_mut(), &config, observe);
+            (out, trace.expect("trace requested"))
         };
         assert!(
             baseline == both_out,
@@ -505,6 +563,76 @@ fn report_and_phase_spans_leave_outcomes_bit_identical() {
         assert_eq!(a.markdown, b.markdown, "{label}");
         assert_eq!(a.perfetto_json, c.perfetto_json, "{label}");
         assert_eq!(a.markdown, c.markdown, "{label}");
+
+        // Every observer combination, with the implicit audit off and
+        // on: the trace comes back exactly when requested, and nothing
+        // observed depends on what else was observed.
+        for audit in [false, true] {
+            let mut config = config.clone();
+            config.audit = audit;
+            for (want_trace, attach) in [(false, false), (true, false), (false, true), (true, true)]
+            {
+                let case = format!("{label} audit={audit} trace={want_trace} telemetry={attach}");
+                let tele3 = SimTelemetry::new(300.0);
+                let observe = Observe {
+                    trace: want_trace,
+                    telemetry: attach.then_some(&tele3),
+                };
+                let mut sched = cfg.build(&catalog, &model);
+                let (out, got) =
+                    simulate_with(&workload, &matrix, sched.as_mut(), &config, observe);
+                assert!(baseline == out, "{case}: outcome diverges");
+                assert_eq!(
+                    got.is_some(),
+                    want_trace,
+                    "{case}: trace returned iff requested"
+                );
+                if let Some(got) = &got {
+                    assert!(*got == trace, "{case}: trace diverges");
+                }
+                if attach {
+                    for (name, a, b) in [
+                        (
+                            "decisions",
+                            tele.sched.decisions.get(),
+                            tele3.sched.decisions.get(),
+                        ),
+                        (
+                            "head_started",
+                            tele.sched.head_started.get(),
+                            tele3.sched.head_started.get(),
+                        ),
+                        (
+                            "backfill_scanned",
+                            tele.sched.backfill_scanned.get(),
+                            tele3.sched.backfill_scanned.get(),
+                        ),
+                        (
+                            "backfill_started",
+                            tele.sched.backfill_started.get(),
+                            tele3.sched.backfill_started.get(),
+                        ),
+                        (
+                            "pairing_queries",
+                            tele.sched.pairing_queries.get(),
+                            tele3.sched.pairing_queries.get(),
+                        ),
+                        (
+                            "pairing_hits",
+                            tele.sched.pairing_hits.get(),
+                            tele3.sched.pairing_hits.get(),
+                        ),
+                    ] {
+                        assert_eq!(a, b, "{case}: telemetry counter {name} diverges");
+                    }
+                    assert_eq!(
+                        tele.jsonl(),
+                        tele3.jsonl(),
+                        "{case}: telemetry samples diverge"
+                    );
+                }
+            }
+        }
     }
 }
 
@@ -528,10 +656,11 @@ fn calendar_event_queue_matches_heap_across_lineup() {
         let workload = saturated_workload(&catalog, seed, 70);
         for cfg in &lineup {
             let mut cal = cfg.build(&catalog, &model);
-            let (out_cal, trace_cal) = run_traced(&workload, &matrix, cal.as_mut(), &cal_config);
+            let (out_cal, trace_cal) =
+                simulate_traced(&workload, &matrix, cal.as_mut(), &cal_config);
             let mut heap = cfg.build(&catalog, &model);
             let (out_heap, trace_heap) =
-                run_traced(&workload, &matrix, heap.as_mut(), &heap_config);
+                simulate_traced(&workload, &matrix, heap.as_mut(), &heap_config);
             assert!(
                 trace_cal == trace_heap,
                 "{} seed {seed}: decision traces diverge across queue backends",
@@ -552,9 +681,7 @@ fn calendar_event_queue_matches_heap_across_lineup() {
 /// across chunk sizes that exercise mid-tie chunk boundaries.
 #[test]
 fn streamed_runs_match_materialized_across_lineup() {
-    use nodeshare::engine::{
-        run_streamed_traced, run_streamed_with_telemetry, run_with_telemetry, SimTelemetry,
-    };
+    use nodeshare::engine::SimTelemetry;
     let (catalog, model, matrix) = world();
     let mut config = SimConfig::new(ClusterSpec::evaluation());
     config.audit = false;
@@ -568,12 +695,17 @@ fn streamed_runs_match_materialized_across_lineup() {
     lineup.push(StrategyConfig::sharing(StrategyKind::CoBackfillOnly));
     for cfg in &lineup {
         let mut sched = cfg.build(&catalog, &model);
-        let (out_mat, trace_mat) = run_traced(&materialized, &matrix, sched.as_mut(), &config);
+        let (out_mat, trace_mat) = simulate_traced(&materialized, &matrix, sched.as_mut(), &config);
         for chunk in [1, 17, 4096] {
             let mut source = spec.stream(&catalog, chunk);
             let mut sched = cfg.build(&catalog, &model);
+            let observe = Observe {
+                trace: true,
+                ..Observe::default()
+            };
             let (out_str, trace_str) =
-                run_streamed_traced(&mut source, &matrix, sched.as_mut(), &config);
+                simulate(&mut source, &matrix, sched.as_mut(), &config, observe).unwrap();
+            let trace_str = trace_str.unwrap();
             assert!(
                 trace_mat == trace_str,
                 "{} chunk {chunk}: decision traces diverge streamed vs materialized",
@@ -591,11 +723,15 @@ fn streamed_runs_match_materialized_across_lineup() {
         // in a streamed run) must agree as well.
         let tele_mat = SimTelemetry::new(300.0);
         let mut sched = cfg.build(&catalog, &model);
-        run_with_telemetry(&materialized, &matrix, sched.as_mut(), &config, &tele_mat);
+        simulate_telemetry(&materialized, &matrix, sched.as_mut(), &config, &tele_mat);
         let tele_str = SimTelemetry::new(300.0);
         let mut source = spec.stream(&catalog, 17);
         let mut sched = cfg.build(&catalog, &model);
-        run_streamed_with_telemetry(&mut source, &matrix, sched.as_mut(), &config, &tele_str);
+        let observe = Observe {
+            trace: false,
+            telemetry: Some(&tele_str),
+        };
+        simulate(&mut source, &matrix, sched.as_mut(), &config, observe).unwrap();
         for (name, a, b) in [
             (
                 "pairing_queries",
@@ -744,7 +880,7 @@ fn traced_runs_batch_justifications_through_explain_all() {
         explain_all_calls: std::cell::Cell::new(0),
         explained_decisions: std::cell::Cell::new(0),
     };
-    let (out, _trace) = run_traced(&workload, &matrix, &mut counting, &config);
+    let (out, _trace) = simulate_traced(&workload, &matrix, &mut counting, &config);
     assert!(out.complete());
     assert_eq!(
         counting.explain_all_calls.get(),
@@ -783,7 +919,7 @@ fn auditor_catches_double_charged_node_seconds() {
 
     let cfg = StrategyConfig::sharing(StrategyKind::CoBackfill);
     let mut sched = cfg.build(&catalog, &model);
-    let (mut out, trace) = run_traced(&workload, &matrix, sched.as_mut(), &config);
+    let (mut out, trace) = simulate_traced(&workload, &matrix, sched.as_mut(), &config);
 
     // Sanity: the untampered run is clean.
     Auditor::new(&matrix, &config)
@@ -816,7 +952,7 @@ fn auditor_catches_doctored_placement() {
 
     let cfg = StrategyConfig::sharing(StrategyKind::CoBackfill);
     let mut sched = cfg.build(&catalog, &model);
-    let (out, trace) = run_traced(&workload, &matrix, sched.as_mut(), &config);
+    let (out, trace) = simulate_traced(&workload, &matrix, sched.as_mut(), &config);
 
     // Rewrite the first start to land on a node the cluster doesn't have.
     let phantom = NodeId(9999);
@@ -893,7 +1029,7 @@ fn dedup_set_layout_leaves_campaign_artifacts_bit_identical() {
         let mut reference: Option<(u64, String, String)> = None;
         for (i, w) in variants.iter().enumerate() {
             let mut sched = cfg.build(&catalog, &model);
-            let (out, trace) = run_traced(w, &matrix, sched.as_mut(), &config);
+            let (out, trace) = simulate_traced(w, &matrix, sched.as_mut(), &config);
             assert!(out.complete(), "{label} variant {i}");
             let opts = ReportOptions {
                 title: Some(format!("d1 differential: {label}")),
@@ -938,9 +1074,9 @@ fn adaptive_is_bit_identical_to_easy_backfill_on_rigid_workloads() {
             );
 
             let mut a = adaptive.build(&catalog, &model);
-            let (out_a, trace_a) = run_traced(&workload, &matrix, a.as_mut(), &config);
+            let (out_a, trace_a) = simulate_traced(&workload, &matrix, a.as_mut(), &config);
             let mut e = easy.build(&catalog, &model);
-            let (out_e, trace_e) = run_traced(&workload, &matrix, e.as_mut(), &config);
+            let (out_e, trace_e) = simulate_traced(&workload, &matrix, e.as_mut(), &config);
 
             assert!(
                 trace_a
@@ -969,7 +1105,7 @@ fn adaptive_is_bit_identical_to_easy_backfill_on_rigid_workloads() {
 /// between adaptive and EASY backfill when no job is malleable.
 #[test]
 fn adaptive_matches_easy_backfill_telemetry_on_rigid_workloads() {
-    use nodeshare::engine::{run_with_telemetry, SimTelemetry};
+    use nodeshare::engine::SimTelemetry;
     let (catalog, model, matrix) = world();
     let mut config = SimConfig::new(ClusterSpec::evaluation());
     config.audit = false;
@@ -977,10 +1113,10 @@ fn adaptive_matches_easy_backfill_telemetry_on_rigid_workloads() {
 
     let tele_a = SimTelemetry::new(300.0);
     let mut a = StrategyConfig::exclusive(StrategyKind::Adaptive).build(&catalog, &model);
-    let out_a = run_with_telemetry(&workload, &matrix, a.as_mut(), &config, &tele_a);
+    let out_a = simulate_telemetry(&workload, &matrix, a.as_mut(), &config, &tele_a);
     let tele_e = SimTelemetry::new(300.0);
     let mut e = StrategyConfig::exclusive(StrategyKind::EasyBackfill).build(&catalog, &model);
-    let out_e = run_with_telemetry(&workload, &matrix, e.as_mut(), &config, &tele_e);
+    let out_e = simulate_telemetry(&workload, &matrix, e.as_mut(), &config, &tele_e);
 
     let mut renamed = out_a.clone();
     renamed.scheduler = out_e.scheduler.clone();
@@ -1110,7 +1246,7 @@ fn auditor_catches_overshrunk_reshape() {
 
     let cfg = StrategyConfig::exclusive(StrategyKind::Adaptive);
     let mut sched = cfg.build(&catalog, &model);
-    let (out, trace) = run_traced(&workload, &matrix, sched.as_mut(), &config);
+    let (out, trace) = simulate_traced(&workload, &matrix, sched.as_mut(), &config);
     assert!(out.complete());
 
     // Control: the engine-produced reshape schedule audits clean.

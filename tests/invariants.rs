@@ -135,9 +135,12 @@ proptest! {
 
         for cfg in StrategyConfig::lineup() {
             let mut sched = cfg.build(&catalog, &model);
-            let (out, trace) = nodeshare::engine::run_traced(
-                &workload, &matrix, sched.as_mut(), &config,
-            );
+            let observe = Observe { trace: true, ..Observe::default() };
+            let (out, trace) = simulate(
+                &mut workload.source(workload.len()), &matrix, sched.as_mut(), &config, observe,
+            )
+            .expect("in-memory workloads always deliver");
+            let trace = trace.expect("trace requested");
             prop_assert!(out.complete(), "{}", cfg.label());
             let audit = nodeshare::engine::Auditor::new(&matrix, &config)
                 .audit(&trace, &out);
