@@ -7,6 +7,9 @@
 //! * scheduling-efficiency gain (paper: **+25.2%**),
 //! * co-allocation overhead (paper: **≈ none**).
 //!
+//! The binary asserts the claim: both gains positive and within a factor
+//! of two of the paper's, and median dilation under 1.5x.
+//!
 //! ```text
 //! cargo run --release -p nodeshare-bench --bin exp_t3_headline
 //! ```
@@ -14,6 +17,14 @@
 use nodeshare_bench::{emit, mean_of, seeds, World};
 use nodeshare_core::{StrategyConfig, StrategyKind};
 use nodeshare_metrics::{pct, relative_gain, Table};
+
+/// The paper's computational-efficiency gain of CoBackfill over EASY.
+const PAPER_E_COMP_GAIN: f64 = 0.190;
+/// The paper's scheduling-efficiency gain of CoBackfill over EASY.
+const PAPER_E_SCHED_GAIN: f64 = 0.252;
+/// Median dilation above this would mean co-allocation costs the jobs
+/// more than the "≈ none" overhead the paper reports.
+const MAX_MEDIAN_DILATION: f64 = 1.5;
 
 fn main() {
     let world = World::evaluation();
@@ -36,17 +47,35 @@ fn main() {
     let wait_co = mean_of(&co, |m| m.wait.mean);
     let mk_base = mean_of(&base, |m| m.makespan);
     let mk_co = mean_of(&co, |m| m.makespan);
+    let e_comp_gain = relative_gain(e_comp_co, e_comp_base);
+    let e_sched_gain = relative_gain(e_sched_co, e_sched_base);
+
+    for (name, gain, paper) in [
+        ("E_comp", e_comp_gain, PAPER_E_COMP_GAIN),
+        ("E_sched", e_sched_gain, PAPER_E_SCHED_GAIN),
+    ] {
+        assert!(
+            (paper / 2.0..=paper * 2.0).contains(&gain),
+            "{name} gain {} is not within a factor of two of the paper's {}",
+            pct(gain),
+            pct(paper)
+        );
+    }
+    assert!(
+        dil_co < MAX_MEDIAN_DILATION,
+        "median dilation {dil_co:.3}x is not under {MAX_MEDIAN_DILATION}x"
+    );
 
     let mut t = Table::new(vec!["quantity", "paper", "measured"]);
     t.row(vec![
         "computational efficiency gain".to_string(),
-        "+19.0%".to_string(),
-        pct(relative_gain(e_comp_co, e_comp_base)),
+        pct(PAPER_E_COMP_GAIN),
+        pct(e_comp_gain),
     ]);
     t.row(vec![
         "scheduling efficiency gain".to_string(),
-        "+25.2%".to_string(),
-        pct(relative_gain(e_sched_co, e_sched_base)),
+        pct(PAPER_E_SCHED_GAIN),
+        pct(e_sched_gain),
     ]);
     t.row(vec![
         "co-allocation overhead (median dilation)".to_string(),

@@ -54,6 +54,8 @@
 //! * `--reps N` — additionally time N independent replications of each
 //!   campaign executed in parallel with Rayon, reporting aggregate
 //!   events/sec (demonstrates multi-core scaling of the harness).
+//! * `--help` — print the usage line and exit 0. An unknown option or a
+//!   missing or malformed value prints it to stderr and exits 2.
 //!
 //! Timing methodology: audit and telemetry are off (the committed numbers
 //! are release-mode hot-path figures), workload generation is outside the
@@ -662,6 +664,29 @@ fn measure_streamed(world: &World) -> Entry {
     }
 }
 
+const USAGE: &str = "\
+usage: perf_baseline [--quick] [--reference] [--campaign] [--only LABEL]
+                     [--out FILE] [--check FILE] [--samples N] [--reps N]";
+
+/// Reports a bad invocation with the usage text on stderr and exits 2.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("perf_baseline: {problem}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// The value following `flag`, or a usage error when it is missing.
+fn flag_value<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> &'a str {
+    it.next()
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
+}
+
+/// The integer following `flag`, or a usage error.
+fn flag_count<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> u32 {
+    let v = flag_value(it, flag);
+    v.parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag} takes an integer, got {v:?}")))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
@@ -675,30 +700,19 @@ fn main() {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
             "--quick" => quick = true,
             "--reference" => reference = true,
             "--campaign" => campaign = true,
-            "--out" => out_path = it.next().expect("--out needs a path").clone(),
-            "--check" => check_path = Some(it.next().expect("--check needs a path").clone()),
-            "--only" => only = Some(it.next().expect("--only needs a strategy label").clone()),
-            "--samples" => {
-                samples_n = it
-                    .next()
-                    .expect("--samples needs a count")
-                    .parse()
-                    .expect("--samples takes an integer");
-            }
-            "--reps" => {
-                reps = it
-                    .next()
-                    .expect("--reps needs a count")
-                    .parse()
-                    .expect("--reps takes an integer");
-            }
-            other => panic!(
-                "unknown option {other} \
-                 (see --quick/--reference/--campaign/--only/--out/--check/--samples/--reps)"
-            ),
+            "--out" => out_path = flag_value(&mut it, a).to_string(),
+            "--check" => check_path = Some(flag_value(&mut it, a).to_string()),
+            "--only" => only = Some(flag_value(&mut it, a).to_string()),
+            "--samples" => samples_n = flag_count(&mut it, a),
+            "--reps" => reps = flag_count(&mut it, a),
+            other => usage_error(&format!("unknown option {other}")),
         }
     }
 

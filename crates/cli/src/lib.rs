@@ -178,6 +178,10 @@ where
     {
         argv.splice(1..1, ["--in".to_string()]);
     }
+    // `nodeshare --help` and `-h` are the conventional spellings of `help`.
+    if matches!(argv.first().map(String::as_str), Some("--help" | "-h")) {
+        argv[0] = "help".to_string();
+    }
     let inv = Invocation::parse(argv)?;
     match inv.command.as_str() {
         "simulate" => simulate(&inv),
@@ -188,7 +192,7 @@ where
         "pairs" => pairs(&inv),
         "apps" => apps(&inv),
         "lint" => lint_cmd(&inv),
-        "help" | "--help" => Ok(USAGE.to_string()),
+        "help" => Ok(USAGE.to_string()),
         other => Err(CliError::Other(format!(
             "unknown subcommand {other:?}; try `nodeshare help`"
         ))),
@@ -402,7 +406,7 @@ const SIM_OPTIONS: &[&str] = &[
 
 /// Options accepted by the commands that can attach a telemetry layer
 /// (`simulate` and `metrics`; `audit` takes only `log-level`).
-const TELEMETRY_OPTIONS: &[&str] = &["telemetry", "sample-interval", "log-level"];
+const OBSERVABILITY_OPTIONS: &[&str] = &["telemetry", "sample-interval", "log-level"];
 
 /// Applies `--log-level` to the global structured logger.
 fn apply_log_level(inv: &Invocation) -> Result<(), CliError> {
@@ -621,7 +625,7 @@ fn lean_summary(out: &nodeshare_engine::SimOutcome) -> String {
 }
 
 fn simulate(inv: &Invocation) -> Result<String, CliError> {
-    let known: Vec<&str> = [SIM_OPTIONS, TELEMETRY_OPTIONS].concat();
+    let known: Vec<&str> = [SIM_OPTIONS, OBSERVABILITY_OPTIONS].concat();
     inv.check_known(&known)?;
     apply_log_level(inv)?;
     let telemetry = build_telemetry(inv, false)?;
@@ -656,7 +660,7 @@ fn simulate(inv: &Invocation) -> Result<String, CliError> {
 /// `nodeshare metrics`: run the campaign with telemetry always on and
 /// print the Prometheus exposition instead of the human report.
 fn metrics_cmd(inv: &Invocation) -> Result<String, CliError> {
-    let known: Vec<&str> = [SIM_OPTIONS, TELEMETRY_OPTIONS].concat();
+    let known: Vec<&str> = [SIM_OPTIONS, OBSERVABILITY_OPTIONS].concat();
     inv.check_known(&known)?;
     apply_log_level(inv)?;
     let telemetry = build_telemetry(inv, true)?.expect("forced telemetry");

@@ -82,33 +82,24 @@ impl Backfill {
         &self.pairing
     }
 
-    /// The optimized backfill candidate scan, monomorphized over whether
-    /// telemetry is attached. This loop is the scheduler's hottest path
+    /// The optimized backfill candidate scan, the scheduler's hottest path
     /// (it runs ~10^8 iterations in a saturated campaign; see the
-    /// `sched_latency` benches). The `TELEMETRY = false` copy is the lean
-    /// one: it may take the planner's memoized and bounded early exits,
-    /// which skip work — and therefore would skip counter increments —
-    /// while provably returning the same decisions; the `true` copy
-    /// evaluates every candidate faithfully so the counters match the
-    /// reference exactly.
-    fn scan_fast<const TELEMETRY: bool>(
-        &mut self,
-        ctx: &SchedContext<'_>,
-        sharing: bool,
-    ) -> Vec<Decision> {
-        if !TELEMETRY
-            && ctx.cluster.idle_count() == 0
-            && (!sharing || self.planner.eligible_partial_count() == 0)
+    /// `sched_latency` benches). It takes the planner's memoized and
+    /// bounded early exits whether or not telemetry is attached: those
+    /// shortcuts return the reference's decisions exactly, and the scan
+    /// counters record where the scan stopped, not how much work it took
+    /// to get there.
+    fn scan_fast(&mut self, ctx: &SchedContext<'_>, sharing: bool) -> Vec<Decision> {
+        let candidates = &ctx.queue[1..];
+        if ctx.cluster.idle_count() == 0 && (!sharing || self.planner.eligible_partial_count() == 0)
         {
-            // No idle node and no shareable lane: every candidate fails.
+            // No idle node and no shareable lane: every candidate fails,
+            // so the full scan would stop at the end of the queue.
+            Self::record_backfill(ctx, candidates.len(), false);
             return Vec::new();
         }
         let shadow = self.planner.shadow();
-        let mut scanned = 0u64;
-        for job in &ctx.queue[1..] {
-            if TELEMETRY {
-                scanned += 1;
-            }
+        for (i, job) in candidates.iter().enumerate() {
             let excl_end = ctx.now + job.walltime_estimate;
             let shared_end = ctx.now + job.walltime_estimate * ctx.shared_grace.max(1.0);
             let excl_fits = excl_end <= shadow + PLAN_EPS;
@@ -116,34 +107,26 @@ impl Backfill {
 
             if sharing && job.share_eligible {
                 let restricted = !shared_fits;
-                if let Some(nodes) = self.planner.pick_exclusive(ctx, job, restricted) {
-                    if TELEMETRY {
-                        Self::record_backfill(ctx, scanned, true);
-                    }
-                    return vec![Decision::StartShared { job: job.id, nodes }];
-                }
-                if let Some(nodes) =
-                    self.planner
-                        .pick_shared(ctx, job, &self.pairing, restricted, !TELEMETRY)
-                {
-                    if TELEMETRY {
-                        Self::record_backfill(ctx, scanned, true);
-                    }
+                let nodes = self
+                    .planner
+                    .pick_exclusive(ctx, job, restricted)
+                    .or_else(|| {
+                        self.planner
+                            .pick_shared(ctx, job, &self.pairing, restricted)
+                    });
+                if let Some(nodes) = nodes {
+                    Self::record_backfill(ctx, i + 1, true);
                     return vec![Decision::StartShared { job: job.id, nodes }];
                 }
             } else {
                 let restricted = !excl_fits;
                 if let Some(nodes) = self.planner.pick_exclusive(ctx, job, restricted) {
-                    if TELEMETRY {
-                        Self::record_backfill(ctx, scanned, true);
-                    }
+                    Self::record_backfill(ctx, i + 1, true);
                     return vec![Decision::StartExclusive { job: job.id, nodes }];
                 }
             }
         }
-        if TELEMETRY {
-            Self::record_backfill(ctx, scanned, false);
-        }
+        Self::record_backfill(ctx, candidates.len(), false);
         Vec::new()
     }
 
@@ -177,10 +160,7 @@ impl Backfill {
             };
         }
         if self.share_head && sharing && head.share_eligible {
-            if let Some(nodes) =
-                self.planner
-                    .pick_shared(ctx, head, &self.pairing, false, ctx.telemetry.is_none())
-            {
+            if let Some(nodes) = self.planner.pick_shared(ctx, head, &self.pairing, false) {
                 if let Some(t) = ctx.telemetry {
                     t.head_started.inc();
                 }
@@ -193,25 +173,18 @@ impl Backfill {
 
         // 2. Reserve for the head, then backfill behind the reservation.
         self.planner.compute_reservation(ctx, head.nodes as usize);
-        if ctx.telemetry.is_some() {
-            self.scan_fast::<true>(ctx, sharing)
-        } else {
-            self.scan_fast::<false>(ctx, sharing)
-        }
+        self.scan_fast(ctx, sharing)
     }
 
     /// The pre-optimization candidate scan (reference implementation).
-    fn scan_reference<const TELEMETRY: bool>(
+    fn scan_reference(
         &self,
         ctx: &SchedContext<'_>,
         reservation: &HeadReservation,
         sharing: bool,
     ) -> Vec<Decision> {
-        let mut scanned = 0u64;
-        for job in &ctx.queue[1..] {
-            if TELEMETRY {
-                scanned += 1;
-            }
+        let candidates = &ctx.queue[1..];
+        for (i, job) in candidates.iter().enumerate() {
             let excl_end = ctx.now + job.walltime_estimate;
             let shared_end = ctx.now + job.walltime_estimate * ctx.shared_grace.max(1.0);
             let excl_fits = excl_end <= reservation.shadow + PLAN_EPS;
@@ -220,28 +193,18 @@ impl Backfill {
             let allowed_shared = |n| shared_fits || !reservation.nodes.contains(&n);
 
             if sharing && job.share_eligible {
-                if let Some(nodes) = pick_exclusive(ctx, job, allowed_shared) {
-                    if TELEMETRY {
-                        Self::record_backfill(ctx, scanned, true);
-                    }
-                    return vec![Decision::StartShared { job: job.id, nodes }];
-                }
-                if let Some(nodes) = pick_shared(ctx, job, &self.pairing, allowed_shared) {
-                    if TELEMETRY {
-                        Self::record_backfill(ctx, scanned, true);
-                    }
+                let nodes = pick_exclusive(ctx, job, allowed_shared)
+                    .or_else(|| pick_shared(ctx, job, &self.pairing, allowed_shared));
+                if let Some(nodes) = nodes {
+                    Self::record_backfill(ctx, i + 1, true);
                     return vec![Decision::StartShared { job: job.id, nodes }];
                 }
             } else if let Some(nodes) = pick_exclusive(ctx, job, allowed_excl) {
-                if TELEMETRY {
-                    Self::record_backfill(ctx, scanned, true);
-                }
+                Self::record_backfill(ctx, i + 1, true);
                 return vec![Decision::StartExclusive { job: job.id, nodes }];
             }
         }
-        if TELEMETRY {
-            Self::record_backfill(ctx, scanned, false);
-        }
+        Self::record_backfill(ctx, candidates.len(), false);
         Vec::new()
     }
 
@@ -294,19 +257,16 @@ impl Backfill {
         // shared-mode jobs receive the walltime grace, so their lanes may
         // be held longer — the shadow test must use the padded bound.
         let reservation = HeadReservation::compute(ctx, head.nodes as usize);
-        if ctx.telemetry.is_some() {
-            self.scan_reference::<true>(ctx, &reservation, sharing)
-        } else {
-            self.scan_reference::<false>(ctx, &reservation, sharing)
-        }
+        self.scan_reference(ctx, &reservation, sharing)
     }
 
-    /// Records the counters for one backfill pass that evaluated
-    /// `scanned` candidates and did (`started`) or did not start one.
-    #[cold]
-    fn record_backfill(ctx: &SchedContext<'_>, scanned: u64, started: bool) {
+    /// Records the counters for one backfill pass that stopped at
+    /// candidate position `scanned` (1-based behind the head; the queue
+    /// length minus one when no candidate started) and did (`started`) or
+    /// did not start one.
+    fn record_backfill(ctx: &SchedContext<'_>, scanned: usize, started: bool) {
         if let Some(t) = ctx.telemetry {
-            t.backfill_scanned.add(scanned);
+            t.backfill_scanned.add(scanned as u64);
             t.backfill_scan_depth.observe(scanned as f64);
             if started {
                 t.backfill_started.inc();
@@ -409,10 +369,9 @@ mod tests {
     }
 
     #[test]
-    fn phase_spans_attribute_placement_and_pairing_wall_time() {
+    fn phase_spans_attribute_placement_wall_time() {
         // A saturating mix with co-allocation: the placement-scan span
-        // fires once per non-empty scheduling pass, and every pairing
-        // query is covered by exactly one pairing-lookup span.
+        // fires once per non-empty scheduling pass.
         let world = testkit::world(
             2,
             vec![
@@ -426,11 +385,6 @@ mod tests {
         assert!(
             tele.sched.phase_placement_seconds.count() > 0,
             "placement scans must be timed"
-        );
-        assert_eq!(
-            tele.sched.phase_pairing_seconds.count(),
-            tele.sched.pairing_queries.get(),
-            "every pairing query carries exactly one span"
         );
         // Spans observe non-negative wall time.
         assert!(tele.sched.phase_placement_seconds.sum() >= 0.0);

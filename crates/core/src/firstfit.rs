@@ -65,10 +65,7 @@ impl FirstFit {
         let _placement_span = ctx.telemetry.map(|t| t.time_placement());
         let sharing = self.pairing.sharing_enabled();
         self.planner.begin_pass(ctx);
-        let use_memo = ctx.telemetry.is_none();
-        if use_memo
-            && ctx.cluster.idle_count() == 0
-            && (!sharing || self.planner.eligible_partial_count() == 0)
+        if ctx.cluster.idle_count() == 0 && (!sharing || self.planner.eligible_partial_count() == 0)
         {
             // No idle node and no shareable lane: nothing can start.
             return Vec::new();
@@ -83,10 +80,7 @@ impl FirstFit {
                 };
             }
             if sharing && job.share_eligible {
-                if let Some(nodes) =
-                    self.planner
-                        .pick_shared(ctx, job, &self.pairing, false, use_memo)
-                {
+                if let Some(nodes) = self.planner.pick_shared(ctx, job, &self.pairing, false) {
                     return vec![Decision::StartShared { job: job.id, nodes }];
                 }
             }

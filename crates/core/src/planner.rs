@@ -22,10 +22,9 @@
 //!   determined, within one pass, by `(app, node count, reservation
 //!   restriction, memory-threshold rank, walltime bits)`; failed keys are
 //!   remembered so equivalent queue candidates skip the whole evaluation.
-//!   The memo (and the exact-upper-bound early exits) are only engaged
-//!   when telemetry is off, because skipping an evaluation also skips its
-//!   `pairing_queries` counter increments; outcomes are identical either
-//!   way.
+//!   The memo and the exact-upper-bound early exits run whether or not
+//!   telemetry is attached: the pairing counters count the evaluations
+//!   actually performed, so a skipped evaluation simply adds nothing.
 //!
 //! Every shortcut here is *exact*: for any context, the pickers return
 //! bit-identical results to [`crate::util::pick_exclusive`] and
@@ -313,80 +312,76 @@ impl Planner {
         Some(picked)
     }
 
-    /// [`crate::util::pick_shared`] against the cached state. With
-    /// `use_memo` (telemetry off), failed attempts are memoized under a
-    /// key that exactly determines the outcome within one pass, and
-    /// attempts that provably cannot assemble `k` nodes exit before
-    /// evaluating anything.
+    /// [`crate::util::pick_shared`] against the cached state. Failed
+    /// attempts are memoized under a key that exactly determines the
+    /// outcome within one pass, and attempts that provably cannot
+    /// assemble `k` nodes exit before evaluating anything; either way the
+    /// result equals the reference's, only the work (and so the pairing
+    /// counters) is smaller.
     pub fn pick_shared(
         &mut self,
         ctx: &SchedContext<'_>,
         job: &JobSpec,
         pairing: &Pairing,
         restricted: bool,
-        use_memo: bool,
     ) -> Option<Vec<NodeId>> {
         if !job.share_eligible || !self.table.sharing_enabled() {
             return None;
         }
         let k = job.nodes as usize;
         let idle_ok = u64::from(job.mem_per_node_mib) <= ctx.cluster.spec().node.mem_mib;
-        let mut key = 0u128;
-        if use_memo {
-            // Rank of the memory requirement among partial nodes: how many
-            // pass the memory check. Within one pass this rank pins the
-            // exact subset of partial nodes the evaluation would consider,
-            // so together with the other fields it determines the outcome.
-            let t = self.partials.len()
-                - self
-                    .mem_sorted
-                    .partition_point(|&m| m < u64::from(job.mem_per_node_mib));
-            let wt = pairing
-                .duration_match
-                .map_or(0u64, |_| job.walltime_estimate.to_bits());
-            key = job.app.index() as u128
-                | (k as u128) << 8
-                | (restricted as u128) << 40
-                | (idle_ok as u128) << 41
-                | (t as u128) << 42
-                | (wt as u128) << 64;
-            if self.failed_shared.contains(&key) {
-                return None;
-            }
-            // Exact upper bound on assemblable nodes: eligible partial
-            // nodes passing the reservation and memory filters, plus
-            // allowed idle nodes.
-            let avail_partials = if restricted {
-                self.eligible_unreserved
-            } else {
-                self.eligible_count
-            }
-            .min(t);
-            let avail_idle = if idle_ok {
-                ctx.cluster.idle_count() - if restricted { self.reserved_idle } else { 0 }
-            } else {
-                0
-            };
-            if k > avail_partials + avail_idle {
-                return None;
-            }
+        // Rank of the memory requirement among partial nodes: how many
+        // pass the memory check. Within one pass this rank pins the exact
+        // subset of partial nodes the evaluation would consider, so
+        // together with the other fields it determines the outcome.
+        let t = self.partials.len()
+            - self
+                .mem_sorted
+                .partition_point(|&m| m < u64::from(job.mem_per_node_mib));
+        let wt = pairing
+            .duration_match
+            .map_or(0u64, |_| job.walltime_estimate.to_bits());
+        let key = job.app.index() as u128
+            | (k as u128) << 8
+            | (restricted as u128) << 40
+            | (idle_ok as u128) << 41
+            | (t as u128) << 42
+            | (wt as u128) << 64;
+        if self.failed_shared.contains(&key) {
+            return None;
+        }
+        // Exact upper bound on assemblable nodes: eligible partial nodes
+        // passing the reservation and memory filters, plus allowed idle
+        // nodes.
+        let avail_partials = if restricted {
+            self.eligible_unreserved
+        } else {
+            self.eligible_count
+        }
+        .min(t);
+        let avail_idle = if idle_ok {
+            ctx.cluster.idle_count() - if restricted { self.reserved_idle } else { 0 }
+        } else {
+            0
+        };
+        if k > avail_partials + avail_idle {
+            return None;
         }
         match self.plan_and_eval(ctx, job, pairing, restricted, k, idle_ok) {
             Some(net_gain) if net_gain > pairing.net_gain_floor => Some(self.nodes_buf.clone()),
             _ => {
-                if use_memo {
-                    self.failed_shared.insert(key);
-                }
+                self.failed_shared.insert(key);
                 None
             }
         }
     }
 
     /// The body of [`crate::util::plan_shared`] over the cached partials:
-    /// same filters in the same order (including the telemetry counter
-    /// points), same sort key, same evaluation fold order — so scores,
-    /// rates, and the net gain come out bit-identical. Leaves the chosen
-    /// nodes in `nodes_buf` and returns the net gain.
+    /// same filters in the same order, same sort key, same evaluation fold
+    /// order — so scores, rates, and the net gain come out bit-identical.
+    /// Counts one pairing query per unreserved partial node and one hit
+    /// per node that survives every filter, as the reference does. Leaves
+    /// the chosen nodes in `nodes_buf` and returns the net gain.
     fn plan_and_eval(
         &mut self,
         ctx: &SchedContext<'_>,
@@ -398,16 +393,12 @@ impl Planner {
     ) -> Option<f64> {
         self.cand_buf.clear();
         let cand_bound = job.walltime_estimate * ctx.shared_grace.max(1.0);
+        let mut queries = 0u64;
         'nodes: for (i, info) in self.partials.iter().enumerate() {
             if restricted && self.reserved[info.node.index()] {
                 continue;
             }
-            // Times the full candidate evaluation (dropped on every
-            // `continue` path too).
-            let _pairing_span = ctx.telemetry.map(|t| t.time_pairing());
-            if let Some(t) = ctx.telemetry {
-                t.pairing_queries.inc();
-            }
+            queries += 1;
             if info.mem_free < u64::from(job.mem_per_node_mib) {
                 continue;
             }
@@ -440,10 +431,11 @@ impl Planner {
             if !ok {
                 continue;
             }
-            if let Some(t) = ctx.telemetry {
-                t.pairing_hits.inc();
-            }
             self.cand_buf.push((i as u32, info.node, score));
+        }
+        if let Some(t) = ctx.telemetry {
+            t.pairing_queries.add(queries);
+            t.pairing_hits.add(self.cand_buf.len() as u64);
         }
         // Best predicted pairs first, ties by node id — a unique total
         // order, so the unstable sort is deterministic.
@@ -538,8 +530,7 @@ fn update_partner(buf: &mut Vec<(JobId, u32, f64)>, r: &Resident, rate: f64) {
 ///    place instead of rebuilding. Jobs whose `(nodes, duration)` already
 ///    proved unfittable since the last profile mutation are skipped via a
 ///    memo (the same per-pass failure-memo discipline as
-///    [`Planner::pick_shared`]; conservative planning touches no
-///    telemetry counters, so the skip is unconditionally safe).
+///    [`Planner::pick_shared`]).
 /// 3. **Cross-pass placement cache** — when a pass ends with no decision,
 ///    the planned queue prefix and final steps are sealed under the
 ///    cluster stamp. A later pass with an equal stamp and an unchanged
@@ -892,14 +883,14 @@ mod memo_tests {
         let ctx = rig.ctx(10.0);
         planner.begin_pass(&ctx);
         assert!(planner
-            .pick_shared(&ctx, &rig.queue[0], &pairing, false, true)
+            .pick_shared(&ctx, &rig.queue[0], &pairing, false)
             .is_none());
         assert_eq!(planner.memo_len(), 1);
         // Same stamp, same instant: the miss carries across the pass.
         planner.begin_pass(&ctx);
         assert_eq!(planner.memo_len(), 1, "era unchanged, memo must survive");
         assert!(planner
-            .pick_shared(&ctx, &rig.queue[0], &pairing, false, true)
+            .pick_shared(&ctx, &rig.queue[0], &pairing, false)
             .is_none());
         assert_eq!(planner.memo_len(), 1);
     }
@@ -912,7 +903,7 @@ mod memo_tests {
         let ctx = rig.ctx(10.0);
         planner.begin_pass(&ctx);
         assert!(planner
-            .pick_shared(&ctx, &rig.queue[0], &pairing, false, true)
+            .pick_shared(&ctx, &rig.queue[0], &pairing, false)
             .is_none());
         assert_eq!(planner.memo_len(), 1);
         let later = rig.ctx(20.0);
@@ -933,7 +924,7 @@ mod memo_tests {
         planner.begin_pass(&ctx);
         planner.compute_reservation(&ctx, 1);
         assert!(planner
-            .pick_shared(&ctx, &rig.queue[0], &pairing, true, true)
+            .pick_shared(&ctx, &rig.queue[0], &pairing, true)
             .is_none());
         assert_eq!(planner.memo_len(), 1);
         // Same width: entries stay. New width: reservation set differs,

@@ -153,8 +153,6 @@ pub fn plan_shared(
             let node = ctx.cluster.node(n)?;
             // A query is one candidate partial node evaluated against the
             // pairing policy; a hit is one that survives every filter.
-            // The span times the full candidate evaluation.
-            let _pairing_span = ctx.telemetry.map(|t| t.time_pairing());
             if let Some(t) = ctx.telemetry {
                 t.pairing_queries.inc();
             }

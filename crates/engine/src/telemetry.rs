@@ -29,15 +29,21 @@ pub struct SchedTelemetry {
     pub decisions: Counter,
     /// Queue-head starts (the job that was first in line).
     pub head_started: Counter,
-    /// Backfill candidates examined behind the head.
+    /// Backfill scan depth summed over passes (see
+    /// [`SchedTelemetry::backfill_scan_depth`]).
     pub backfill_scanned: Counter,
     /// Backfill candidates actually started.
     pub backfill_started: Counter,
-    /// Candidates examined per backfill pass (distribution).
+    /// Per backfill pass, the queue position behind the head where the
+    /// scan stopped: the started candidate's, or the last candidate's
+    /// when none started. A property of the decision, so memoized and
+    /// exhaustive scans report the same depth.
     pub backfill_scan_depth: Histogram,
-    /// Pairing-compatibility queries (candidate × resident-stack checks).
+    /// Pairing-compatibility evaluations performed (candidate partial
+    /// node vs. its resident stack). Work done, not a property of the
+    /// decision: cached planners skip evaluations and count fewer.
     pub pairing_queries: Counter,
-    /// Pairing queries that accepted the candidate node.
+    /// Pairing evaluations that accepted the candidate node.
     pub pairing_hits: Counter,
     /// Completed-job records digested by learning wrappers.
     pub learning_updates: Counter,
@@ -47,9 +53,6 @@ pub struct SchedTelemetry {
     /// Wall-clock time of one Conservative timeline-maintenance pass
     /// (rebuilding or splicing the reservation profile).
     pub phase_timeline_seconds: Histogram,
-    /// Wall-clock time of one pairing-compatibility lookup (candidate
-    /// vs. resident stack).
-    pub phase_pairing_seconds: Histogram,
 }
 
 impl SchedTelemetry {
@@ -66,7 +69,6 @@ impl SchedTelemetry {
         SchedTelemetry {
             phase_placement_seconds: phase("placement-scan"),
             phase_timeline_seconds: phase("timeline-maintenance"),
-            phase_pairing_seconds: phase("pairing-lookup"),
             decisions: registry.counter(
                 "sched_decisions_total",
                 "Start decisions returned by the scheduling policy.",
@@ -113,12 +115,6 @@ impl SchedTelemetry {
     /// [`SchedTelemetry::time_placement`]).
     pub fn time_timeline(&self) -> SpanTimer {
         SpanTimer::new(&self.phase_timeline_seconds)
-    }
-
-    /// Times one pairing-compatibility lookup (RAII, see
-    /// [`SchedTelemetry::time_placement`]).
-    pub fn time_pairing(&self) -> SpanTimer {
-        SpanTimer::new(&self.phase_pairing_seconds)
     }
 
     /// Pairing hit rate so far (hits / queries; 0 when no queries).

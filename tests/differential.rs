@@ -218,18 +218,55 @@ fn optimized_schedulers_match_reference_bit_for_bit() {
     }
 }
 
-/// The optimized paths must also report the *same scheduler telemetry*
-/// as the reference: pairing query/hit counters are part of the observed
-/// behavior, so the caching layers may not skip counted work when a
-/// telemetry sink is attached.
+/// The scheduler counters that describe decisions rather than the work
+/// spent reaching them: how many starts, of which kind, and where each
+/// backfill scan stopped (the scanned total and the scan-depth histogram).
+fn decision_counters(tele: &nodeshare::engine::SimTelemetry) -> [(&'static str, u64); 6] {
+    let s = &tele.sched;
+    [
+        ("decisions", s.decisions.get()),
+        ("head_started", s.head_started.get()),
+        ("backfill_started", s.backfill_started.get()),
+        ("backfill_scanned", s.backfill_scanned.get()),
+        ("backfill_scan_depth count", s.backfill_scan_depth.count()),
+        // Depths are whole numbers, so the sum converts exactly.
+        (
+            "backfill_scan_depth sum",
+            s.backfill_scan_depth.sum() as u64,
+        ),
+    ]
+}
+
+/// The optimized paths must report the *same decision telemetry* as the
+/// reference, with the same cached scan that runs unobserved: attaching a
+/// sink may not switch off the planner's memo or its early exits. The
+/// pairing counters count the evaluations actually performed, so they
+/// match the reference only where the memo never engages (the 60-job
+/// campaign) and must come out strictly smaller in a saturated one.
 #[test]
 fn optimized_schedulers_match_reference_telemetry() {
     use nodeshare::engine::SimTelemetry;
     let (catalog, model, matrix) = world();
     let mut config = SimConfig::new(ClusterSpec::evaluation());
     config.audit = false;
-    let workload = saturated_workload(&catalog, 31, 60);
+    let run_both = |cfg: &StrategyConfig, workload: &Workload| {
+        let tele_fast = SimTelemetry::new(300.0);
+        let tele_ref = SimTelemetry::new(300.0);
+        let mut fast = cfg.build(&catalog, &model);
+        let out_fast = simulate_telemetry(workload, &matrix, fast.as_mut(), &config, &tele_fast);
+        let mut refr = cfg.build_reference(&catalog, &model);
+        let out_ref = simulate_telemetry(workload, &matrix, refr.as_mut(), &config, &tele_ref);
+        assert!(out_fast == out_ref, "{}: outcomes diverge", cfg.label());
+        for ((name, a), (_, b)) in decision_counters(&tele_fast)
+            .into_iter()
+            .zip(decision_counters(&tele_ref))
+        {
+            assert_eq!(a, b, "{}: telemetry counter {name} diverges", cfg.label());
+        }
+        (tele_fast, tele_ref)
+    };
 
+    let workload = saturated_workload(&catalog, 31, 60);
     for cfg in [
         StrategyConfig::sharing(StrategyKind::CoFirstFit),
         StrategyConfig::sharing(StrategyKind::CoBackfill),
@@ -238,19 +275,8 @@ fn optimized_schedulers_match_reference_telemetry() {
         // engine-side decision counter must not notice.
         StrategyConfig::exclusive(StrategyKind::Conservative),
     ] {
-        let tele_fast = SimTelemetry::new(300.0);
-        let tele_ref = SimTelemetry::new(300.0);
-        let mut fast = cfg.build(&catalog, &model);
-        let out_fast = simulate_telemetry(&workload, &matrix, fast.as_mut(), &config, &tele_fast);
-        let mut refr = cfg.build_reference(&catalog, &model);
-        let out_ref = simulate_telemetry(&workload, &matrix, refr.as_mut(), &config, &tele_ref);
-        assert!(out_fast == out_ref, "{}: outcomes diverge", cfg.label());
+        let (tele_fast, tele_ref) = run_both(&cfg, &workload);
         for (name, a, b) in [
-            (
-                "decisions",
-                tele_fast.sched.decisions.get(),
-                tele_ref.sched.decisions.get(),
-            ),
             (
                 "pairing_queries",
                 tele_fast.sched.pairing_queries.get(),
@@ -261,19 +287,28 @@ fn optimized_schedulers_match_reference_telemetry() {
                 tele_fast.sched.pairing_hits.get(),
                 tele_ref.sched.pairing_hits.get(),
             ),
-            (
-                "head_started",
-                tele_fast.sched.head_started.get(),
-                tele_ref.sched.head_started.get(),
-            ),
-            (
-                "backfill_started",
-                tele_fast.sched.backfill_started.get(),
-                tele_ref.sched.backfill_started.get(),
-            ),
         ] {
             assert_eq!(a, b, "{}: telemetry counter {name} diverges", cfg.label());
         }
+    }
+
+    let workload = saturated_workload(&catalog, 31, 400);
+    for cfg in [
+        StrategyConfig::sharing(StrategyKind::CoFirstFit),
+        StrategyConfig::sharing(StrategyKind::CoBackfill),
+        StrategyConfig::sharing(StrategyKind::CoBackfillOnly),
+    ] {
+        let (tele_fast, tele_ref) = run_both(&cfg, &workload);
+        let (fast, refr) = (
+            tele_fast.sched.pairing_queries.get(),
+            tele_ref.sched.pairing_queries.get(),
+        );
+        assert!(
+            fast < refr,
+            "{}: observed fast path evaluated {fast} pairings, reference {refr}; \
+             the memo must stay on with telemetry attached",
+            cfg.label()
+        );
     }
 }
 
