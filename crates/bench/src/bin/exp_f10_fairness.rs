@@ -6,25 +6,32 @@
 //! efficiency by taxing one application class or one user population.
 //!
 //! ```text
-//! cargo run --release -p nodeshare-bench --bin exp_f10_fairness
+//! cargo run --release -p nodeshare-bench --bin exp_f10_fairness -- [--jobs N|--serial]
 //! ```
 
+use nodeshare_bench::campaign::{run_or_exit, CampaignSpec, PresetVariant};
+use nodeshare_bench::orchestrator::CampaignCli;
 use nodeshare_bench::{emit, World};
 use nodeshare_core::{StrategyConfig, StrategyKind};
 use nodeshare_metrics::{by_app, pct, user_slowdown_fairness, Table};
 
 fn main() {
+    let cli = CampaignCli::parse();
     let world = World::evaluation();
-    let workload = world.saturated_spec(42).generate(&world.catalog);
-
-    let (easy_out, easy_m) = world.run_strategy(
-        &workload,
-        &StrategyConfig::exclusive(StrategyKind::EasyBackfill),
+    let spec = CampaignSpec::on_evaluation_cluster(
+        "f10",
+        vec![PresetVariant::new("saturated", world.saturated_spec(0))],
+        vec![
+            StrategyConfig::exclusive(StrategyKind::EasyBackfill).into(),
+            StrategyConfig::sharing(StrategyKind::CoBackfill).into(),
+        ],
+        vec![42],
     );
-    let (co_out, co_m) = world.run_strategy(
-        &workload,
-        &StrategyConfig::sharing(StrategyKind::CoBackfill),
-    );
+    let run = run_or_exit(&world, &spec, cli.parallelism);
+    let easy = &run.seed_results(0, 0, 0)[0];
+    let co = &run.seed_results(0, 0, 1)[0];
+    let (easy_out, easy_m) = (&easy.outcome, &easy.metrics);
+    let (co_out, co_m) = (&co.outcome, &co.metrics);
 
     let mut t = Table::new(vec![
         "app",

@@ -16,8 +16,7 @@
 //! ```
 
 use nodeshare_bench::campaign::{
-    exit_on_failures, run_campaign, write_campaign_summary, write_cell_table, CampaignSpec,
-    CellOptions, ClusterVariant, PresetVariant, StrategyVariant,
+    run_or_exit, write_cell_artifacts, CampaignSpec, ClusterVariant, PresetVariant, StrategyVariant,
 };
 use nodeshare_bench::orchestrator::CampaignCli;
 use nodeshare_bench::{emit, mean_of, seeds, World};
@@ -29,7 +28,10 @@ fn main() {
     let cli = CampaignCli::parse();
     let world = World::evaluation();
     let n_seeds = if cli.quick { 2 } else { 3 };
-    let quick_jobs = if cli.quick { Some(80) } else { None };
+    let mut workload = world.saturated_spec(0);
+    if cli.quick {
+        workload.n_jobs = 80;
+    }
 
     let smt_cluster = |smt: u8| {
         let node = NodeSpec {
@@ -43,10 +45,7 @@ fn main() {
 
     let spec = CampaignSpec {
         name: "f11",
-        presets: vec![PresetVariant {
-            n_jobs: quick_jobs,
-            ..PresetVariant::saturated("saturated")
-        }],
+        presets: vec![PresetVariant::new("saturated", workload)],
         clusters: vec![smt_cluster(2), smt_cluster(3), smt_cluster(4)],
         strategies: vec![
             StrategyConfig::exclusive(StrategyKind::EasyBackfill).into(),
@@ -55,8 +54,7 @@ fn main() {
         ],
         seeds: seeds(n_seeds),
     };
-    let run = run_campaign(&world, &spec, cli.parallelism, &CellOptions::default())
-        .unwrap_or_else(|failures| exit_on_failures(failures));
+    let run = run_or_exit(&world, &spec, cli.parallelism);
 
     let mut t = Table::new(vec![
         "SMT width / predictor",
@@ -108,6 +106,5 @@ fn main() {
         t.render()
     );
     emit("exp_f11_smt4", &text, Some(&t.to_csv()));
-    write_cell_table("exp_f11_smt4", &run);
-    write_campaign_summary("exp_f11_smt4", &run);
+    write_cell_artifacts("exp_f11_smt4", &run);
 }

@@ -6,45 +6,41 @@
 //! net-gain planner, or just cost coverage?
 //!
 //! ```text
-//! cargo run --release -p nodeshare-bench --bin exp_f12_duration_match
+//! cargo run --release -p nodeshare-bench --bin exp_f12_duration_match -- [--jobs N|--serial]
 //! ```
 
+use nodeshare_bench::campaign::{run_or_exit, CampaignSpec, PresetVariant, StrategyVariant};
+use nodeshare_bench::orchestrator::CampaignCli;
 use nodeshare_bench::{emit, mean_of, seeds, World};
-use nodeshare_core::{Backfill, Pairing, PairingPolicy, StrategyConfig, StrategyKind};
-use nodeshare_metrics::{pct, relative_gain, CampaignMetrics, Table};
-use nodeshare_perf::Predictor;
-use rayon::prelude::*;
+use nodeshare_core::{StrategyConfig, StrategyKind};
+use nodeshare_metrics::{pct, relative_gain, Table};
 
 fn main() {
+    let cli = CampaignCli::parse();
     let world = World::evaluation();
-    let reps = seeds(3);
-
-    let base = world.replicate(
-        &StrategyConfig::exclusive(StrategyKind::EasyBackfill),
-        &reps,
-        |s| world.saturated_spec(s),
+    let co = StrategyConfig::sharing(StrategyKind::CoBackfill);
+    let mut strategies = vec![
+        // The baseline the gains are measured against.
+        StrategyConfig::exclusive(StrategyKind::EasyBackfill).into(),
+        StrategyVariant::named("off", co),
+    ];
+    for theta in [0.25, 0.50, 0.75] {
+        strategies.push(StrategyVariant::named(
+            format!("{theta:.2}"),
+            StrategyConfig {
+                duration_match: Some(theta),
+                ..co
+            },
+        ));
+    }
+    let spec = CampaignSpec::on_evaluation_cluster(
+        "f12",
+        vec![PresetVariant::new("saturated", world.saturated_spec(0))],
+        strategies,
+        seeds(3),
     );
-    let base_comp = mean_of(&base, |m| m.computational_efficiency);
-
-    let run_theta = |theta: Option<f64>| -> Vec<CampaignMetrics> {
-        reps.par_iter()
-            .map(|&seed| {
-                let workload = world.saturated_spec(seed).generate(&world.catalog);
-                let mut pairing = Pairing::new(
-                    PairingPolicy::default_threshold(),
-                    Predictor::class_based(&world.catalog, &world.model),
-                );
-                if let Some(theta) = theta {
-                    pairing = pairing.with_duration_match(theta);
-                }
-                let mut sched = Backfill::co(pairing);
-                let out =
-                    nodeshare_engine::run(&workload, &world.matrix, &mut sched, &world.config());
-                assert!(out.complete());
-                out.metrics(&world.cluster)
-            })
-            .collect()
-    };
+    let run = run_or_exit(&world, &spec, cli.parallelism);
+    let base_comp = mean_of(&run.seed_metrics(0, 0, 0), |m| m.computational_efficiency);
 
     let mut t = Table::new(vec![
         "duration match θ",
@@ -53,15 +49,10 @@ fn main() {
         "dil p95",
         "mean wait(m)",
     ]);
-    for (label, theta) in [
-        ("off", None),
-        ("0.25", Some(0.25)),
-        ("0.50", Some(0.50)),
-        ("0.75", Some(0.75)),
-    ] {
-        let ms = run_theta(theta);
+    for (s, sv) in spec.strategies.iter().enumerate().skip(1) {
+        let ms = run.seed_metrics(0, 0, s);
         t.row(vec![
-            label.to_string(),
+            sv.label.clone(),
             pct(relative_gain(
                 mean_of(&ms, |m| m.computational_efficiency),
                 base_comp,
@@ -77,7 +68,7 @@ fn main() {
          reading: the net-gain planner already avoids pathological pairings, so\n\
          duration matching mostly trades coverage for little; aggressive θ\n\
          forfeits a visible slice of the efficiency gain.\n",
-        reps.len(),
+        spec.seeds.len(),
         t.render()
     );
     emit("exp_f12_duration_match", &text, Some(&t.to_csv()));

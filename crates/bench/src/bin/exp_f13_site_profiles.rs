@@ -6,19 +6,38 @@
 //! map the benefit's boundary conditions.
 //!
 //! ```text
-//! cargo run --release -p nodeshare-bench --bin exp_f13_site_profiles
+//! cargo run --release -p nodeshare-bench --bin exp_f13_site_profiles -- [--jobs N|--serial]
 //! ```
 
+use nodeshare_bench::campaign::{run_or_exit, CampaignSpec, PresetVariant};
+use nodeshare_bench::orchestrator::CampaignCli;
 use nodeshare_bench::{emit, mean_of, seeds, World};
 use nodeshare_core::{StrategyConfig, StrategyKind};
 use nodeshare_metrics::{pct, relative_gain, Table};
-use nodeshare_workload::Preset;
+use nodeshare_workload::{Preset, WorkloadSpec};
 
 fn main() {
+    let cli = CampaignCli::parse();
     let world = World::evaluation();
-    let reps = seeds(3);
-    let easy = StrategyConfig::exclusive(StrategyKind::EasyBackfill);
-    let co = StrategyConfig::sharing(StrategyKind::CoBackfill);
+    let spec = CampaignSpec::on_evaluation_cluster(
+        "f13",
+        Preset::ALL
+            .iter()
+            .map(|p| {
+                let workload = WorkloadSpec {
+                    n_jobs: 700,
+                    ..p.spec(&world.catalog, 0)
+                };
+                PresetVariant::new(p.name(), workload)
+            })
+            .collect(),
+        vec![
+            StrategyConfig::exclusive(StrategyKind::EasyBackfill).into(),
+            StrategyConfig::sharing(StrategyKind::CoBackfill).into(),
+        ],
+        seeds(3),
+    );
+    let run = run_or_exit(&world, &spec, cli.parallelism);
 
     let mut t = Table::new(vec![
         "site profile",
@@ -29,16 +48,11 @@ fn main() {
         "shared",
         "kills",
     ]);
-    for preset in Preset::ALL {
-        let spec_of = |seed| {
-            let mut s = preset.spec(&world.catalog, seed);
-            s.n_jobs = 700;
-            s
-        };
-        let me = world.replicate(&easy, &reps, spec_of);
-        let mc = world.replicate(&co, &reps, spec_of);
+    for (p, preset) in spec.presets.iter().enumerate() {
+        let me = run.seed_metrics(p, 0, 0);
+        let mc = run.seed_metrics(p, 0, 1);
         t.row(vec![
-            preset.name().to_string(),
+            preset.label.clone(),
             pct(relative_gain(
                 mean_of(&mc, |m| m.computational_efficiency),
                 mean_of(&me, |m| m.computational_efficiency),
@@ -58,7 +72,7 @@ fn main() {
          reading: the benefit needs (a) load pressure and (b) complementary\n\
          applications. Lightly loaded capability sites and bandwidth-homogeneous\n\
          mixes gain little; saturated mixed workloads gain the paper's ~20%.\n",
-        reps.len(),
+        spec.seeds.len(),
         t.render()
     );
     emit("exp_f13_site_profiles", &text, Some(&t.to_csv()));

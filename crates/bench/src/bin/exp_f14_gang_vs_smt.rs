@@ -8,6 +8,11 @@
 //! mechanisms and asks where the paper's SMT lane sharing actually earns
 //! its complexity.
 //!
+//! The one seeded experiment outside the campaign orchestrator: its gang
+//! variant swaps the ground-truth model and the shared walltime grace,
+//! which no campaign axis expresses, so it keeps its own replication
+//! loop (and writes no per-cell telemetry).
+//!
 //! ```text
 //! cargo run --release -p nodeshare-bench --bin exp_f14_gang_vs_smt
 //! ```

@@ -7,69 +7,46 @@
 //! completed jobs — and measures what corrected planning buys.
 //!
 //! ```text
-//! cargo run --release -p nodeshare-bench --bin exp_f15_estimate_learning
+//! cargo run --release -p nodeshare-bench --bin exp_f15_estimate_learning -- [--jobs N|--serial]
 //! ```
+//!
+//! [`EstimateLearning`]: nodeshare_core::EstimateLearning
 
+use nodeshare_bench::campaign::{run_or_exit, CampaignSpec, PresetVariant, StrategyVariant};
+use nodeshare_bench::orchestrator::CampaignCli;
 use nodeshare_bench::{emit, mean_of, seeds, World};
-use nodeshare_core::{Backfill, EstimateLearning, Pairing, PairingPolicy};
-use nodeshare_engine::Scheduler;
-use nodeshare_metrics::{pct, relative_gain, CampaignMetrics, Table};
-use nodeshare_perf::Predictor;
-use rayon::prelude::*;
-
-/// A thunk producing a fresh scheduler per replication (borrows the world).
-type SchedFactory<'a> = Box<dyn Fn() -> Box<dyn Scheduler> + Sync + 'a>;
+use nodeshare_core::{StrategyConfig, StrategyKind};
+use nodeshare_metrics::{pct, relative_gain, Table};
 
 fn main() {
+    let cli = CampaignCli::parse();
     let world = World::evaluation();
-    let reps = seeds(3);
-
-    let co_pairing = || {
-        Pairing::new(
-            PairingPolicy::default_threshold(),
-            Predictor::class_based(&world.catalog, &world.model),
-        )
+    // Users over-estimate persistently (3× mean) so there is real signal
+    // to learn, and more users repeat (16) so the learner converges
+    // within the campaign.
+    let mut workload = world.saturated_spec(0);
+    workload.estimates.mean_over_factor = 2.0;
+    workload.n_users = 16;
+    let learning = |cfg| StrategyConfig {
+        estimate_learning: true,
+        ..cfg
     };
-    let run = |mk: &(dyn Fn() -> Box<dyn Scheduler> + Sync)| -> Vec<CampaignMetrics> {
-        reps.par_iter()
-            .map(|&seed| {
-                // Users over-estimate persistently (3× mean) so there is
-                // real signal to learn, and more users repeat (16) so the
-                // learner converges within the campaign.
-                let mut spec = world.saturated_spec(seed);
-                spec.estimates.mean_over_factor = 2.0;
-                spec.n_users = 16;
-                let workload = spec.generate(&world.catalog);
-                let mut sched = mk();
-                let out = nodeshare_engine::run(
-                    &workload,
-                    &world.matrix,
-                    sched.as_mut(),
-                    &world.config(),
-                );
-                assert!(out.complete());
-                out.metrics(&world.cluster)
-            })
-            .collect()
-    };
+    let easy = StrategyConfig::exclusive(StrategyKind::EasyBackfill);
+    let co = StrategyConfig::sharing(StrategyKind::CoBackfill);
+    let spec = CampaignSpec::on_evaluation_cluster(
+        "f15",
+        vec![PresetVariant::new("overestimated", workload)],
+        vec![
+            StrategyVariant::named("easy", easy),
+            StrategyVariant::named("easy + learning", learning(easy)),
+            StrategyVariant::named("co-backfill", co),
+            StrategyVariant::named("co-backfill + learning", learning(co)),
+        ],
+        seeds(3),
+    );
+    let run = run_or_exit(&world, &spec, cli.parallelism);
 
-    let variants: Vec<(&str, SchedFactory<'_>)> = vec![
-        ("easy", Box::new(|| Box::new(Backfill::easy()))),
-        (
-            "easy + learning",
-            Box::new(|| Box::new(EstimateLearning::new(Backfill::easy(), 0.9, 3))),
-        ),
-        (
-            "co-backfill",
-            Box::new(move || Box::new(Backfill::co(co_pairing()))),
-        ),
-        (
-            "co-backfill + learning",
-            Box::new(move || Box::new(EstimateLearning::new(Backfill::co(co_pairing()), 0.9, 3))),
-        ),
-    ];
-
-    let mut base_sched = 0.0;
+    let base_sched = mean_of(&run.seed_metrics(0, 0, 0), |m| m.scheduling_efficiency);
     let mut t = Table::new(vec![
         "scheduler",
         "E_sched",
@@ -78,14 +55,11 @@ fn main() {
         "wait:p95(m)",
         "bsld:p95",
     ]);
-    for (label, mk) in &variants {
-        let ms = run(mk.as_ref());
+    for (s, sv) in spec.strategies.iter().enumerate() {
+        let ms = run.seed_metrics(0, 0, s);
         let es = mean_of(&ms, |m| m.scheduling_efficiency);
-        if *label == "easy" {
-            base_sched = es;
-        }
         t.row(vec![
-            label.to_string(),
+            sv.label.clone(),
             format!("{es:.3}"),
             pct(relative_gain(es, base_sched)),
             format!("{:.0}", mean_of(&ms, |m| m.wait.mean) / 60.0),
@@ -100,7 +74,7 @@ fn main() {
          more work behind reservations — it composes with co-allocation: the\n\
          two optimizations attack independent slack (estimate slack vs.\n\
          intra-node slack).\n",
-        reps.len(),
+        spec.seeds.len(),
         t.render()
     );
     emit("exp_f15_estimate_learning", &text, Some(&t.to_csv()));

@@ -15,48 +15,44 @@
 //! metric is mean scheduling efficiency.
 //!
 //! ```text
-//! cargo run --release -p nodeshare-bench --bin exp_f16_malleable [-- --quick]
+//! cargo run --release -p nodeshare-bench --bin exp_f16_malleable -- [--jobs N|--serial] [--quick]
 //! ```
 
+use nodeshare_bench::campaign::{run_or_exit, CampaignSpec, PresetVariant, StrategyVariant};
+use nodeshare_bench::orchestrator::CampaignCli;
 use nodeshare_bench::{emit, mean_of, seeds, World};
 use nodeshare_core::{StrategyConfig, StrategyKind};
-use nodeshare_metrics::{pct, relative_gain, CampaignMetrics, Table};
-use nodeshare_workload::Preset;
-use rayon::prelude::*;
+use nodeshare_metrics::{pct, relative_gain, Table};
+use nodeshare_workload::{Preset, WorkloadSpec};
 
 const MALLEABLE_FRACTION: f64 = 0.5;
 
 fn main() {
-    let quick = std::env::args().skip(1).any(|a| a == "--quick");
+    let cli = CampaignCli::parse();
     let world = World::evaluation();
-    let reps = if quick { seeds(2) } else { seeds(5) };
-    let n_jobs = if quick { 150 } else { 600 };
-
-    let run = |cfg: &StrategyConfig| -> Vec<CampaignMetrics> {
-        reps.par_iter()
-            .map(|&seed| {
-                let mut spec = Preset::Spike.spec(&world.catalog, seed);
-                spec.n_jobs = n_jobs;
-                spec.malleable_fraction = MALLEABLE_FRACTION;
-                let workload = spec.generate(&world.catalog);
-                let mut sched = cfg.build(&world.catalog, &world.model);
-                let out = nodeshare_engine::run(
-                    &workload,
-                    &world.matrix,
-                    sched.as_mut(),
-                    &world.config(),
-                );
-                assert!(out.complete(), "{}: campaign wedged", cfg.label());
-                out.metrics(&world.cluster)
-            })
-            .collect()
-    };
-
-    let mut variants = StrategyConfig::lineup();
-    variants.push(StrategyConfig::exclusive(StrategyKind::Adaptive));
+    let n_jobs = if cli.quick { 150 } else { 600 };
+    let mut strategies: Vec<StrategyVariant> = StrategyConfig::lineup()
+        .into_iter()
+        .map(Into::into)
+        .collect();
+    strategies.push(StrategyConfig::exclusive(StrategyKind::Adaptive).into());
+    let spec = CampaignSpec::on_evaluation_cluster(
+        "f16",
+        vec![PresetVariant::new(
+            "spike",
+            WorkloadSpec {
+                n_jobs,
+                malleable_fraction: MALLEABLE_FRACTION,
+                ..Preset::Spike.spec(&world.catalog, 0)
+            },
+        )],
+        strategies,
+        seeds(if cli.quick { 2 } else { 5 }),
+    );
+    let run = run_or_exit(&world, &spec, cli.parallelism);
 
     let mut base_sched = 0.0;
-    let mut best_rigid: Option<(&'static str, f64)> = None;
+    let mut best_rigid: Option<(&str, f64)> = None;
     let mut adaptive_sched = 0.0;
     let mut t = Table::new(vec![
         "strategy",
@@ -67,14 +63,14 @@ fn main() {
         "wait:p95(m)",
         "bsld:p95",
     ]);
-    for cfg in &variants {
-        let label = cfg.label();
-        let ms = run(cfg);
+    for (s, sv) in spec.strategies.iter().enumerate() {
+        let label = sv.label.as_str();
+        let ms = run.seed_metrics(0, 0, s);
         let es = mean_of(&ms, |m| m.scheduling_efficiency);
         if label == "easy-backfill" {
             base_sched = es;
         }
-        if cfg.kind == StrategyKind::Adaptive {
+        if sv.config.kind == StrategyKind::Adaptive {
             adaptive_sched = es;
         } else if best_rigid.is_none_or(|(_, b)| es > b) {
             best_rigid = Some((label, es));
@@ -110,8 +106,8 @@ fn main() {
          campaign, which is where scheduling efficiency lives.\n",
         (MALLEABLE_FRACTION * 100.0) as u32,
         n_jobs,
-        reps.len(),
-        if quick { ", --quick" } else { "" },
+        spec.seeds.len(),
+        if cli.quick { ", --quick" } else { "" },
         t.render(),
         pct(relative_gain(adaptive_sched, best_sched)),
     );

@@ -15,14 +15,12 @@
 //! cargo run --release -p nodeshare-bench --bin exp_f3_load_sweep -- [--jobs N|--serial] [--quick]
 //! ```
 
-use nodeshare_bench::campaign::{
-    exit_on_failures, run_campaign, write_campaign_summary, write_cell_table, CampaignSpec,
-    CellOptions, PresetVariant,
-};
+use nodeshare_bench::campaign::{run_or_exit, write_cell_artifacts, CampaignSpec, PresetVariant};
 use nodeshare_bench::orchestrator::CampaignCli;
 use nodeshare_bench::{emit, mean_of, seeds, World};
 use nodeshare_core::{StrategyConfig, StrategyKind};
 use nodeshare_metrics::{pct, relative_gain, Table};
+use nodeshare_workload::{ArrivalProcess, WorkloadSpec};
 
 fn main() {
     let cli = CampaignCli::parse();
@@ -41,10 +39,17 @@ fn main() {
         "f3",
         factors
             .iter()
-            .map(|&f| PresetVariant {
-                n_jobs: Some(n_jobs),
-                arrival_rate: Some(base_rate * f),
-                ..PresetVariant::online(format!("{f:.2}x"))
+            .map(|&f| {
+                PresetVariant::new(
+                    format!("{f:.2}x"),
+                    WorkloadSpec {
+                        n_jobs,
+                        arrival: ArrivalProcess::Poisson {
+                            rate: base_rate * f,
+                        },
+                        ..world.online_spec(0)
+                    },
+                )
             })
             .collect(),
         vec![
@@ -53,8 +58,7 @@ fn main() {
         ],
         seeds(n_seeds),
     );
-    let run = run_campaign(&world, &spec, cli.parallelism, &CellOptions::default())
-        .unwrap_or_else(|failures| exit_on_failures(failures));
+    let run = run_or_exit(&world, &spec, cli.parallelism);
 
     let mut t = Table::new(vec![
         "load",
@@ -90,6 +94,5 @@ fn main() {
         t.render()
     );
     emit("exp_f3_load_sweep", &text, Some(&t.to_csv()));
-    write_cell_table("exp_f3_load_sweep", &run);
-    write_campaign_summary("exp_f3_load_sweep", &run);
+    write_cell_artifacts("exp_f3_load_sweep", &run);
 }

@@ -6,70 +6,73 @@
 //! pessimistic predictors.
 //!
 //! ```text
-//! cargo run --release -p nodeshare-bench --bin exp_f7_pairing_ablation
+//! cargo run --release -p nodeshare-bench --bin exp_f7_pairing_ablation -- [--jobs N|--serial]
 //! ```
 
+use nodeshare_bench::campaign::{run_or_exit, CampaignSpec, PresetVariant, StrategyVariant};
+use nodeshare_bench::orchestrator::CampaignCli;
 use nodeshare_bench::{emit, mean_of, seeds, World};
 use nodeshare_core::{PairingPolicy, PredictorKind, StrategyConfig, StrategyKind};
 use nodeshare_metrics::{pct, relative_gain, Table};
 
 fn main() {
+    let cli = CampaignCli::parse();
     let world = World::evaluation();
-    let reps = seeds(3);
-    let spec_of = |s| world.saturated_spec(s);
-
-    let base = world.replicate(
-        &StrategyConfig::exclusive(StrategyKind::EasyBackfill),
-        &reps,
-        spec_of,
-    );
-    let base_comp = mean_of(&base, |m| m.computational_efficiency);
-    let base_sched = mean_of(&base, |m| m.scheduling_efficiency);
-
-    let mk = |pairing, predictor| StrategyConfig {
-        kind: StrategyKind::CoBackfill,
-        pairing,
-        predictor,
+    let mk = |label, pairing, predictor| {
+        StrategyVariant::named(
+            label,
+            StrategyConfig {
+                pairing,
+                predictor,
+                ..StrategyConfig::sharing(StrategyKind::CoBackfill)
+            },
+        )
     };
-    let variants: Vec<(&str, StrategyConfig)> = vec![
-        (
-            "never (exclusive)",
-            mk(PairingPolicy::Never, PredictorKind::Oblivious),
-        ),
-        (
-            "any + oblivious",
-            mk(PairingPolicy::Any, PredictorKind::Oblivious),
-        ),
-        (
-            "threshold + pessimistic(0.75)",
+    let spec = CampaignSpec::on_evaluation_cluster(
+        "f7",
+        vec![PresetVariant::new("saturated", world.saturated_spec(0))],
+        vec![
+            // The baseline the gains are measured against.
+            StrategyConfig::exclusive(StrategyKind::EasyBackfill).into(),
             mk(
+                "never (exclusive)",
+                PairingPolicy::Never,
+                PredictorKind::Oblivious,
+            ),
+            mk(
+                "any + oblivious",
+                PairingPolicy::Any,
+                PredictorKind::Oblivious,
+            ),
+            mk(
+                "threshold + pessimistic(0.75)",
                 PairingPolicy::Threshold {
                     min_rate: 0.7,
                     min_combined: 1.2,
                 },
                 PredictorKind::Pessimistic { rate: 0.75 },
             ),
-        ),
-        (
-            "threshold + class-based",
             mk(
+                "threshold + class-based",
                 PairingPolicy::default_threshold(),
                 PredictorKind::ClassBased,
             ),
-        ),
-        (
-            "threshold + oracle",
-            mk(PairingPolicy::default_threshold(), PredictorKind::Oracle),
-        ),
-        (
-            "backfill-only sharing",
-            StrategyConfig {
-                kind: StrategyKind::CoBackfillOnly,
-                pairing: PairingPolicy::default_threshold(),
-                predictor: PredictorKind::ClassBased,
-            },
-        ),
-    ];
+            mk(
+                "threshold + oracle",
+                PairingPolicy::default_threshold(),
+                PredictorKind::Oracle,
+            ),
+            StrategyVariant::named(
+                "backfill-only sharing",
+                StrategyConfig::sharing(StrategyKind::CoBackfillOnly),
+            ),
+        ],
+        seeds(3),
+    );
+    let run = run_or_exit(&world, &spec, cli.parallelism);
+    let base = run.seed_metrics(0, 0, 0);
+    let base_comp = mean_of(&base, |m| m.computational_efficiency);
+    let base_sched = mean_of(&base, |m| m.scheduling_efficiency);
 
     let mut t = Table::new(vec![
         "pairing",
@@ -79,10 +82,10 @@ fn main() {
         "kills",
         "shared",
     ]);
-    for (label, cfg) in &variants {
-        let ms = world.replicate(cfg, &reps, spec_of);
+    for (s, sv) in spec.strategies.iter().enumerate().skip(1) {
+        let ms = run.seed_metrics(0, 0, s);
         t.row(vec![
-            label.to_string(),
+            sv.label.clone(),
             pct(relative_gain(
                 mean_of(&ms, |m| m.computational_efficiency),
                 base_comp,
@@ -102,7 +105,7 @@ fn main() {
          reading: compatibility awareness (threshold) is what separates the paper's\n\
          strategy from naive oversubscription; oracle vs class-based shows how much\n\
          prediction quality buys.\n",
-        reps.len(),
+        spec.seeds.len(),
         t.render()
     );
     emit("exp_f7_pairing_ablation", &text, Some(&t.to_csv()));

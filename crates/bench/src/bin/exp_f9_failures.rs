@@ -16,8 +16,7 @@
 //! ```
 
 use nodeshare_bench::campaign::{
-    exit_on_failures, run_campaign, write_campaign_summary, write_cell_table, CampaignSpec,
-    CellOptions, FailurePlan, PresetVariant,
+    run_or_exit, write_cell_artifacts, CampaignSpec, FailurePlan, PresetVariant,
 };
 use nodeshare_bench::orchestrator::CampaignCli;
 use nodeshare_bench::{emit, mean_of, seeds, World};
@@ -28,7 +27,10 @@ fn main() {
     let cli = CampaignCli::parse();
     let world = World::evaluation();
     let n_seeds = if cli.quick { 2 } else { 3 };
-    let quick_jobs = if cli.quick { Some(80) } else { None };
+    let mut workload = world.saturated_spec(0);
+    if cli.quick {
+        workload.n_jobs = 80;
+    }
 
     let variants: [(&str, f64, Option<f64>); 5] = [
         ("no failures", f64::INFINITY, None),
@@ -42,14 +44,13 @@ fn main() {
         variants
             .iter()
             .map(|&(label, mtbf_h, ckpt)| PresetVariant {
-                n_jobs: quick_jobs,
                 failures: mtbf_h.is_finite().then_some(FailurePlan {
                     mtbf_hours: mtbf_h,
                     repair_s: 1_800.0,
                     horizon_s: 30.0 * 86_400.0,
                 }),
                 checkpoint_interval: ckpt,
-                ..PresetVariant::saturated(label)
+                ..PresetVariant::new(label, workload.clone())
             })
             .collect(),
         vec![
@@ -58,8 +59,7 @@ fn main() {
         ],
         seeds(n_seeds),
     );
-    let run = run_campaign(&world, &spec, cli.parallelism, &CellOptions::default())
-        .unwrap_or_else(|failures| exit_on_failures(failures));
+    let run = run_or_exit(&world, &spec, cli.parallelism);
 
     let mut t = Table::new(vec![
         "MTBF/node",
@@ -101,6 +101,5 @@ fn main() {
         t.render()
     );
     emit("exp_f9_failures", &text, Some(&t.to_csv()));
-    write_cell_table("exp_f9_failures", &run);
-    write_campaign_summary("exp_f9_failures", &run);
+    write_cell_artifacts("exp_f9_failures", &run);
 }

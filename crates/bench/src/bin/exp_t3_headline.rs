@@ -11,9 +11,11 @@
 //! of two of the paper's, and median dilation under 1.5x.
 //!
 //! ```text
-//! cargo run --release -p nodeshare-bench --bin exp_t3_headline
+//! cargo run --release -p nodeshare-bench --bin exp_t3_headline -- [--jobs N|--serial]
 //! ```
 
+use nodeshare_bench::campaign::{run_or_exit, CampaignSpec, PresetVariant};
+use nodeshare_bench::orchestrator::CampaignCli;
 use nodeshare_bench::{emit, mean_of, seeds, World};
 use nodeshare_core::{StrategyConfig, StrategyKind};
 use nodeshare_metrics::{pct, relative_gain, Table};
@@ -27,14 +29,20 @@ const PAPER_E_SCHED_GAIN: f64 = 0.252;
 const MAX_MEDIAN_DILATION: f64 = 1.5;
 
 fn main() {
+    let cli = CampaignCli::parse();
     let world = World::evaluation();
-    let reps = seeds(5);
-    let spec_of = |seed| world.saturated_spec(seed);
-
-    let base_cfg = StrategyConfig::exclusive(StrategyKind::EasyBackfill);
-    let co_cfg = StrategyConfig::sharing(StrategyKind::CoBackfill);
-    let base = world.replicate(&base_cfg, &reps, spec_of);
-    let co = world.replicate(&co_cfg, &reps, spec_of);
+    let spec = CampaignSpec::on_evaluation_cluster(
+        "t3",
+        vec![PresetVariant::new("saturated", world.saturated_spec(0))],
+        vec![
+            StrategyConfig::exclusive(StrategyKind::EasyBackfill).into(),
+            StrategyConfig::sharing(StrategyKind::CoBackfill).into(),
+        ],
+        seeds(5),
+    );
+    let run = run_or_exit(&world, &spec, cli.parallelism);
+    let base = run.seed_metrics(0, 0, 0);
+    let co = run.seed_metrics(0, 0, 1);
 
     let e_comp_base = mean_of(&base, |m| m.computational_efficiency);
     let e_comp_co = mean_of(&co, |m| m.computational_efficiency);
@@ -92,7 +100,7 @@ fn main() {
          {} replications x 1000 jobs, 128 nodes\n\n{}\n\
          detail: E_comp {:.3} -> {:.3} | E_sched {:.3} -> {:.3} | \
          makespan {:.1}h -> {:.1}h | mean wait {:.0}m -> {:.0}m | shared node-time {}\n",
-        reps.len(),
+        spec.seeds.len(),
         t.render(),
         e_comp_base,
         e_comp_co,

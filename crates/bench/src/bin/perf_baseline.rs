@@ -71,6 +71,7 @@ use nodeshare_bench::{seeds, World};
 use nodeshare_core::{StrategyConfig, StrategyKind};
 use nodeshare_engine::{run, simulate, Observe, SimConfig};
 use nodeshare_report::JsonValue;
+use nodeshare_workload::WorkloadSpec;
 use rayon::prelude::*;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -545,10 +546,13 @@ fn measure_orchestrator(world: &World, quick: bool) -> Vec<Entry> {
     let n_jobs: u32 = if quick { 300 } else { 1_500 };
     let spec = CampaignSpec::on_evaluation_cluster(
         "perf",
-        vec![PresetVariant {
-            n_jobs: Some(n_jobs as usize),
-            ..PresetVariant::saturated("saturated")
-        }],
+        vec![PresetVariant::new(
+            "saturated",
+            WorkloadSpec {
+                n_jobs: n_jobs as usize,
+                ..world.saturated_spec(0)
+            },
+        )],
         vec![StrategyConfig::sharing(StrategyKind::CoBackfill).into()],
         seeds(6),
     );

@@ -1,9 +1,8 @@
 //! Declarative experiment campaigns over a (strategy × seed × preset ×
 //! cluster) cell grid.
 //!
-//! Every experiment binary used to hand-roll its own nested
-//! strategy/seed loops; a [`CampaignSpec`] replaces them with data: four
-//! axes whose cartesian product is the campaign's cell grid. Each cell
+//! Every seeded experiment binary declares its grid as a [`CampaignSpec`]:
+//! four axes whose cartesian product is the campaign's cell grid. Each cell
 //! is one **serial** simulation — determinism inside a cell is exactly
 //! the source paper's serial-code contract — and cells are independent,
 //! so the orchestrator ([`crate::orchestrator`]) shards them freely
@@ -17,15 +16,12 @@
 //! innermost, so replications of one configuration are adjacent).
 
 use crate::orchestrator::{run_cells, CellFailure, Parallelism};
-use crate::{
-    audit_requested, simulate_workload, telemetry_dir, telemetry_sample_interval,
-    write_telemetry_files, World,
-};
+use crate::{sim_config, World};
 use nodeshare_cluster::ClusterSpec;
 use nodeshare_core::StrategyConfig;
-use nodeshare_engine::{DecisionTrace, FailureModel, Observe, SimConfig, SimOutcome, SimTelemetry};
+use nodeshare_engine::{simulate, DecisionTrace, FailureModel, Observe, SimOutcome, SimTelemetry};
 use nodeshare_metrics::{CampaignMetrics, Table};
-use nodeshare_workload::{ArrivalProcess, WorkloadSpec};
+use nodeshare_workload::WorkloadSpec;
 
 /// One strategy axis entry: a configuration plus the label it carries in
 /// tables, telemetry paths, and failure reports.
@@ -48,22 +44,13 @@ impl From<StrategyConfig> for StrategyVariant {
 
 impl StrategyVariant {
     /// A variant with an explicit label (for configurations that differ
-    /// only in predictor or pairing policy).
+    /// only in predictor, pairing policy, or refinements).
     pub fn named(label: impl Into<String>, config: StrategyConfig) -> Self {
         StrategyVariant {
             label: label.into(),
             config,
         }
     }
-}
-
-/// Which base workload a preset builds on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WorkloadBase {
-    /// [`World::online_spec`]: Poisson arrivals at ~90% offered load.
-    Online,
-    /// [`World::saturated_spec`]: arrivals ~40% above drain rate.
-    Saturated,
 }
 
 /// Pre-sampled random node failures for a preset, mirroring the F9
@@ -88,12 +75,9 @@ pub struct FailurePlan {
 pub struct PresetVariant {
     /// Table/log label (unique within the campaign).
     pub label: String,
-    /// Base workload shape.
-    pub base: WorkloadBase,
-    /// Override the job count (default: the base spec's 1000).
-    pub n_jobs: Option<usize>,
-    /// Override the Poisson arrival rate (jobs/second).
-    pub arrival_rate: Option<f64>,
+    /// The workload template. Each cell generates it with its own seed
+    /// from the seed axis; the template's `seed` is ignored.
+    pub workload: WorkloadSpec,
     /// Inject random node failures.
     pub failures: Option<FailurePlan>,
     /// Application checkpoint interval in *work* seconds.
@@ -101,39 +85,22 @@ pub struct PresetVariant {
 }
 
 impl PresetVariant {
-    /// An online (~90% load) preset.
-    pub fn online(label: impl Into<String>) -> Self {
+    /// A failure-free preset generating `workload`.
+    pub fn new(label: impl Into<String>, workload: WorkloadSpec) -> Self {
         PresetVariant {
             label: label.into(),
-            base: WorkloadBase::Online,
-            n_jobs: None,
-            arrival_rate: None,
+            workload,
             failures: None,
             checkpoint_interval: None,
         }
     }
 
-    /// A saturated (headline-regime) preset.
-    pub fn saturated(label: impl Into<String>) -> Self {
-        PresetVariant {
-            base: WorkloadBase::Saturated,
-            ..PresetVariant::online(label)
-        }
-    }
-
     /// The workload spec this preset generates for one seed.
-    pub fn workload_spec(&self, world: &World, seed: u64) -> WorkloadSpec {
-        let mut spec = match self.base {
-            WorkloadBase::Online => world.online_spec(seed),
-            WorkloadBase::Saturated => world.saturated_spec(seed),
-        };
-        if let Some(n) = self.n_jobs {
-            spec.n_jobs = n;
+    pub fn workload_spec(&self, seed: u64) -> WorkloadSpec {
+        WorkloadSpec {
+            seed,
+            ..self.workload.clone()
         }
-        if let Some(rate) = self.arrival_rate {
-            spec.arrival = ArrivalProcess::Poisson { rate };
-        }
-        spec
     }
 }
 
@@ -355,6 +322,30 @@ pub fn trace_hash(trace: &DecisionTrace) -> u64 {
     h
 }
 
+/// Jobs per chunk when a cell's in-memory workload is streamed into the
+/// engine: the chunking `nodeshare_engine::run` uses, so the event-queue
+/// gauge in telemetry samples (which follows the chunking) matches it.
+const CHUNK_JOBS: usize = 8192;
+
+/// The directory campaign cells dump telemetry into, from the
+/// `NODESHARE_TELEMETRY` environment variable (`0`/empty disables).
+fn telemetry_dir() -> Option<std::path::PathBuf> {
+    match std::env::var("NODESHARE_TELEMETRY") {
+        Ok(dir) if !dir.is_empty() && dir != "0" => Some(std::path::PathBuf::from(dir)),
+        _ => None,
+    }
+}
+
+/// Telemetry sampling period in simulated seconds:
+/// `NODESHARE_SAMPLE_INTERVAL` when set and positive, else 300.
+fn telemetry_sample_interval() -> f64 {
+    std::env::var("NODESHARE_SAMPLE_INTERVAL")
+        .ok()
+        .and_then(|v| v.parse::<f64>().ok())
+        .filter(|s| s.is_finite() && *s > 0.0)
+        .unwrap_or(300.0)
+}
+
 /// Runs one cell: generates the seeded workload, builds the policy,
 /// runs the serial simulation (audited and/or telemetry-instrumented as
 /// configured), and aggregates metrics.
@@ -377,12 +368,8 @@ pub fn run_cell(
     let slug = spec.cell_slug(coord);
     let target = format!("campaign::{}::{}", spec.name, slug);
 
-    let workload = pv.workload_spec(world, seed).generate(&world.catalog);
-    let mut sim_cfg = SimConfig::new(cv.spec);
-    if audit_requested() {
-        sim_cfg.audit = true;
-        crate::announce_audit();
-    }
+    let workload = pv.workload_spec(seed).generate(&world.catalog);
+    let mut sim_cfg = sim_config(cv.spec);
     if let Some(fp) = &pv.failures {
         sim_cfg.failures = Some(FailureModel {
             mtbf_per_node: fp.mtbf_hours * 3_600.0,
@@ -408,18 +395,18 @@ pub fn run_cell(
         telemetry: telemetry.as_ref().map(|(_, tele)| tele),
     };
     let sim_started = std::time::Instant::now();
-    let (out, trace) =
-        simulate_workload(&workload, &world.matrix, sched.as_mut(), &sim_cfg, observe);
+    let (out, trace) = simulate(
+        &mut workload.source(CHUNK_JOBS),
+        &world.matrix,
+        sched.as_mut(),
+        &sim_cfg,
+        observe,
+    )
+    .unwrap_or_else(|e| panic!("in-memory workload source failed: {e}"));
     let wall_seconds = sim_started.elapsed().as_secs_f64();
     let hash = trace.as_ref().map(trace_hash);
     if let Some((dir, tele)) = &telemetry {
-        // One subdirectory per cell: parallel cells never interleave
-        // JSONL writes, and a campaign's telemetry is browsable by cell
-        // coordinates.
-        write_telemetry_files(dir, "campaign", tele);
-        if let Some(trace) = &trace {
-            write_cell_report(dir, &label, cv.spec.total_cores(), trace);
-        }
+        write_cell_files(dir, &label, cv.spec.total_cores(), tele, trace.as_ref());
     }
     assert!(
         out.complete(),
@@ -443,23 +430,39 @@ pub fn run_cell(
     }
 }
 
-/// Renders a cell's decision trace as observability artifacts next to
-/// its telemetry files: `report.md` (human summary) and `perfetto.json`
-/// (load at <https://ui.perfetto.dev>). Report rendering is pure — it
-/// reads the finished trace and never feeds back into the simulation.
-fn write_cell_report(dir: &std::path::Path, label: &str, total_cores: u64, trace: &DecisionTrace) {
-    let opts = nodeshare_report::ReportOptions {
-        title: Some(format!("cell report: {label}")),
-        total_cores: Some(total_cores),
-    };
-    let report = nodeshare_report::Report::from_trace(trace, &opts);
-    if std::fs::create_dir_all(dir).is_err() {
-        return;
+/// Writes a cell's observability artifacts into its own directory, so
+/// parallel cells never interleave writes and a campaign's telemetry is
+/// browsable by cell coordinates: `campaign.jsonl` (telemetry samples)
+/// and `campaign.prom` (Prometheus exposition), plus, when the cell was
+/// traced, `report.md` and `perfetto.json` (load at
+/// <https://ui.perfetto.dev>). Report rendering is pure — it reads the
+/// finished trace and never feeds back into the simulation.
+fn write_cell_files(
+    dir: &std::path::Path,
+    label: &str,
+    total_cores: u64,
+    telemetry: &SimTelemetry,
+    trace: Option<&DecisionTrace>,
+) {
+    let mut files = vec![
+        ("campaign.jsonl", telemetry.jsonl()),
+        ("campaign.prom", telemetry.prometheus()),
+    ];
+    if let Some(trace) = trace {
+        let opts = nodeshare_report::ReportOptions {
+            title: Some(format!("cell report: {label}")),
+            total_cores: Some(total_cores),
+        };
+        let report = nodeshare_report::Report::from_trace(trace, &opts);
+        files.push(("report.md", report.markdown));
+        files.push(("perfetto.json", report.perfetto_json));
     }
-    let ok = std::fs::write(dir.join("report.md"), &report.markdown).is_ok()
-        && std::fs::write(dir.join("perfetto.json"), &report.perfetto_json).is_ok();
+    let ok = std::fs::create_dir_all(dir).is_ok()
+        && files
+            .iter()
+            .all(|(name, body)| std::fs::write(dir.join(name), body).is_ok());
     if !ok {
-        nodeshare_obs::warn!("bench", "failed to write cell report"; cell = label);
+        nodeshare_obs::warn!("bench", "failed to write cell telemetry"; dir = dir.display());
     }
 }
 
@@ -569,6 +572,18 @@ fn events_per_sec(r: &CellResult) -> f64 {
 }
 
 impl CampaignRun {
+    /// The cells of one (preset, cluster, strategy) configuration, in
+    /// seed order (seeds are the innermost axis, so they are adjacent).
+    pub fn seed_results(&self, preset: usize, cluster: usize, strategy: usize) -> &[CellResult] {
+        let first = self.spec.index_of(&CellCoord {
+            preset,
+            cluster,
+            strategy,
+            seed: 0,
+        });
+        &self.results[first..first + self.spec.seeds.len()]
+    }
+
     /// The per-seed metrics of one (preset, cluster, strategy)
     /// configuration, in seed order — the replication vector the
     /// experiment tables aggregate with [`crate::mean_of`].
@@ -578,19 +593,9 @@ impl CampaignRun {
         cluster: usize,
         strategy: usize,
     ) -> Vec<CampaignMetrics> {
-        self.spec
-            .seeds
+        self.seed_results(preset, cluster, strategy)
             .iter()
-            .enumerate()
-            .map(|(seed, _)| {
-                let idx = self.spec.index_of(&CellCoord {
-                    preset,
-                    cluster,
-                    strategy,
-                    seed,
-                });
-                self.results[idx].metrics.clone()
-            })
+            .map(|r| r.metrics.clone())
             .collect()
     }
 }
@@ -696,28 +701,19 @@ pub fn run_campaign(
     Ok(run)
 }
 
-/// Writes the streamed per-cell table to `results/<name>_cells.csv` —
-/// the raw replication-level artifact behind an experiment's aggregated
-/// tables, in canonical cell order by construction.
-pub fn write_cell_table(name: &str, run: &CampaignRun) {
+/// Writes the run's per-cell artifacts next to an experiment's tables:
+/// `results/<name>_cells.csv`, the streamed per-cell metrics table (the
+/// raw replication-level artifact behind the aggregated tables, in
+/// canonical cell order and bit-identical across worker counts), and
+/// `results/<name>_summary.md`, the wall-clock profile (totals, a
+/// per-cell table in canonical order, the slowest cells).
+pub fn write_cell_artifacts(name: &str, run: &CampaignRun) {
     let dir = std::path::Path::new("results");
     if std::fs::create_dir_all(dir).is_ok() {
         let _ = std::fs::write(
             dir.join(format!("{name}_cells.csv")),
             run.cell_table.to_csv(),
         );
-    }
-}
-
-/// Writes the campaign's wall-clock profile to
-/// `results/<name>_summary.md`: totals (wall time, cells/min, aggregate
-/// events/sec), a per-cell table in canonical order, and the slowest
-/// cells. Companion to [`write_cell_table`] — the metrics CSV stays
-/// bit-identical across worker counts, the summary carries the
-/// wall-clock story.
-pub fn write_campaign_summary(name: &str, run: &CampaignRun) {
-    let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
         let _ = std::fs::write(
             dir.join(format!("{name}_summary.md")),
             run.summary_markdown(),
@@ -725,17 +721,20 @@ pub fn write_campaign_summary(name: &str, run: &CampaignRun) {
     }
 }
 
-/// Binary-side failure handling: prints every failed cell with its
+/// Entry point for experiment binaries: runs `spec` with default cell
+/// options and, if any cell fails, prints every failed cell with its
 /// coordinates and exits non-zero.
-pub fn exit_on_failures(failures: Vec<CellFailure>) -> ! {
-    for f in &failures {
-        nodeshare_obs::error!("campaign", f);
-    }
-    eprintln!(
-        "campaign failed: {} cell(s) panicked or failed audit; sibling cells were unaffected",
-        failures.len()
-    );
-    std::process::exit(1);
+pub fn run_or_exit(world: &World, spec: &CampaignSpec, parallelism: Parallelism) -> CampaignRun {
+    run_campaign(world, spec, parallelism, &CellOptions::default()).unwrap_or_else(|failures| {
+        for f in &failures {
+            nodeshare_obs::error!("campaign", f);
+        }
+        eprintln!(
+            "campaign failed: {} cell(s) panicked or failed audit; sibling cells were unaffected",
+            failures.len()
+        );
+        std::process::exit(1);
+    })
 }
 
 #[cfg(test)]
@@ -743,18 +742,24 @@ mod tests {
     use super::*;
     use nodeshare_core::StrategyKind;
 
-    fn tiny_spec() -> CampaignSpec {
+    fn tiny_spec(world: &World) -> CampaignSpec {
         CampaignSpec::on_evaluation_cluster(
             "unit",
             vec![
-                PresetVariant {
-                    n_jobs: Some(20),
-                    ..PresetVariant::saturated("sat")
-                },
-                PresetVariant {
-                    n_jobs: Some(15),
-                    ..PresetVariant::online("online")
-                },
+                PresetVariant::new(
+                    "sat",
+                    WorkloadSpec {
+                        n_jobs: 20,
+                        ..world.saturated_spec(0)
+                    },
+                ),
+                PresetVariant::new(
+                    "online",
+                    WorkloadSpec {
+                        n_jobs: 15,
+                        ..world.online_spec(0)
+                    },
+                ),
             ],
             vec![
                 StrategyConfig::exclusive(StrategyKind::Fcfs).into(),
@@ -766,7 +771,7 @@ mod tests {
 
     #[test]
     fn cell_enumeration_is_canonical_and_invertible() {
-        let spec = tiny_spec();
+        let spec = tiny_spec(&World::evaluation());
         let cells = spec.cells();
         assert_eq!(cells.len(), spec.n_cells());
         // 2 presets x 1 cluster x 2 strategies x 2 seeds
@@ -785,7 +790,7 @@ mod tests {
     #[test]
     fn campaign_runs_and_aggregates_deterministically() {
         let world = World::evaluation();
-        let spec = tiny_spec();
+        let spec = tiny_spec(&world);
         let opts = CellOptions { hash_traces: true };
         let serial = run_campaign(&world, &spec, Parallelism::Serial, &opts).unwrap();
         let parallel = run_campaign(&world, &spec, Parallelism::Jobs(4), &opts).unwrap();
@@ -813,7 +818,7 @@ mod tests {
     #[test]
     fn summary_markdown_lists_every_cell_in_canonical_order() {
         let world = World::evaluation();
-        let mut spec = tiny_spec();
+        let mut spec = tiny_spec(&world);
         spec.name = "unit_summary";
         let run = run_campaign(&world, &spec, Parallelism::Jobs(4), &CellOptions::default())
             .expect("campaign completes");
@@ -840,7 +845,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::env::set_var("NODESHARE_TELEMETRY", &dir);
         let world = World::evaluation();
-        let mut spec = tiny_spec();
+        let mut spec = tiny_spec(&world);
         spec.name = "unit_report";
         spec.presets.truncate(1);
         spec.strategies.truncate(1);
@@ -857,13 +862,37 @@ mod tests {
         let perfetto = std::fs::read_to_string(cell_dir.join("perfetto.json"))
             .expect("cell perfetto.json written next to telemetry");
         assert!(perfetto.starts_with("{\"traceEvents\":["));
+        let jsonl = std::fs::read_to_string(cell_dir.join("campaign.jsonl"))
+            .expect("cell campaign.jsonl written");
+        assert!(jsonl.lines().count() >= 2);
+        assert!(jsonl.lines().all(|l| l.starts_with("{\"t\":")));
+        let prom = std::fs::read_to_string(cell_dir.join("campaign.prom"))
+            .expect("cell campaign.prom written");
+        assert!(prom.contains("# TYPE sched_decisions_total counter"));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn preset_template_seed_is_ignored() {
+        let world = World::evaluation();
+        let mut spec = tiny_spec(&world);
+        spec.presets.truncate(1);
+        spec.presets[0].workload.seed = 1;
+        let mut other = spec.clone();
+        other.presets[0].workload.seed = 99;
+        let opts = CellOptions { hash_traces: true };
+        let a = run_campaign(&world, &spec, Parallelism::Serial, &opts).unwrap();
+        let b = run_campaign(&world, &other, Parallelism::Serial, &opts).unwrap();
+        for (x, y) in a.results.iter().zip(&b.results) {
+            assert!(x.trace_hash.is_some());
+            assert_eq!(x.trace_hash, y.trace_hash, "cell {:?}", x.coord);
+        }
     }
 
     #[test]
     #[should_panic(expected = "duplicate strategy label")]
     fn duplicate_labels_are_rejected() {
-        let mut spec = tiny_spec();
+        let mut spec = tiny_spec(&World::evaluation());
         let dup = spec.strategies[0].clone();
         spec.strategies.push(dup);
         spec.validate();

@@ -38,17 +38,6 @@ pub enum Parallelism {
 }
 
 impl Parallelism {
-    /// Resolves the worker count requested by the environment:
-    /// `--jobs N` / `--serial` from `args`, else `NODESHARE_JOBS`, else
-    /// one worker per available core.
-    ///
-    /// Unrelated flags (e.g. `--audit`, handled elsewhere by
-    /// [`crate::audit_requested`]) are ignored; `--quick` is surfaced via
-    /// [`CampaignCli::quick`].
-    pub fn from_env() -> Parallelism {
-        CampaignCli::parse().parallelism
-    }
-
     /// The worker count this setting resolves to.
     pub fn workers(self) -> usize {
         match self {
@@ -58,19 +47,51 @@ impl Parallelism {
     }
 }
 
-/// Campaign-orchestrator command-line options shared by the ported
-/// experiment binaries.
+/// Campaign-orchestrator command-line options shared by every seeded
+/// experiment binary.
 #[derive(Clone, Copy, Debug)]
 pub struct CampaignCli {
     /// Worker-pool setting (`--jobs N`, `--serial`, `NODESHARE_JOBS`).
     pub parallelism: Parallelism,
-    /// `--quick`: shrink the grid for smoke runs (CI determinism diff).
+    /// `--quick`: shrink the grid for smoke runs (CI determinism diff);
+    /// binaries without a smaller grid ignore it.
     pub quick: bool,
 }
 
+/// The usage text, naming the running binary.
+fn usage() -> String {
+    let arg0 = std::env::args().next().unwrap_or_default();
+    let program = std::path::Path::new(&arg0).file_name().unwrap_or_default();
+    let program = program.to_string_lossy();
+    format!(
+        "usage: {program} [--jobs N | --serial] [--quick] [--audit]
+  --jobs N   run cells on N workers (default: NODESHARE_JOBS=N|serial,
+             else one per core); results are identical for every N
+  --serial   run cells in canonical order on the calling thread
+  --quick    shrink the grid for a smoke run, where the experiment has one
+  --audit    replay-audit every cell (also NODESHARE_AUDIT=1)"
+    )
+}
+
+/// Reports a bad invocation with the usage text on stderr and exits 2.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("{problem}\n{}", usage());
+    std::process::exit(2);
+}
+
+/// A worker count: a non-negative integer (0 means 1).
+fn worker_count(value: &str, source: &str) -> Parallelism {
+    match value.parse::<usize>() {
+        Ok(n) => Parallelism::Jobs(n.max(1)),
+        Err(_) => usage_error(&format!("{source} takes an integer, got {value:?}")),
+    }
+}
+
 impl CampaignCli {
-    /// Parses `std::env::args()`. Panics with a usage message on an
-    /// unknown option so typos don't silently run the full campaign.
+    /// Parses `std::env::args()`. An unknown option or a bad worker count
+    /// (flag or `NODESHARE_JOBS`) prints usage to stderr and exits 2, so
+    /// typos don't silently run the full campaign; `--help`/`-h` prints
+    /// usage to stdout and exits 0.
     pub fn parse() -> CampaignCli {
         let args: Vec<String> = std::env::args().skip(1).collect();
         let mut jobs: Option<Parallelism> = None;
@@ -78,28 +99,26 @@ impl CampaignCli {
         let mut it = args.iter();
         while let Some(a) = it.next() {
             match a.as_str() {
+                "--help" | "-h" => {
+                    println!("{}", usage());
+                    std::process::exit(0);
+                }
                 "--serial" => jobs = Some(Parallelism::Serial),
                 "--jobs" => {
-                    let n: usize = it
+                    let n = it
                         .next()
-                        .expect("--jobs needs a worker count")
-                        .parse()
-                        .expect("--jobs takes an integer");
-                    jobs = Some(Parallelism::Jobs(n.max(1)));
+                        .unwrap_or_else(|| usage_error("--jobs needs a worker count"));
+                    jobs = Some(worker_count(n, "--jobs"));
                 }
                 "--quick" => quick = true,
                 // Handled by `audit_requested()`'s own argv scan.
                 "--audit" => {}
-                other => panic!("unknown option {other} (see --jobs N/--serial/--quick/--audit)"),
+                other => usage_error(&format!("unknown option {other}")),
             }
         }
         let parallelism = jobs.unwrap_or_else(|| match std::env::var("NODESHARE_JOBS") {
             Ok(v) if v.eq_ignore_ascii_case("serial") => Parallelism::Serial,
-            Ok(v) if !v.is_empty() => Parallelism::Jobs(
-                v.parse::<usize>()
-                    .expect("NODESHARE_JOBS takes an integer or 'serial'")
-                    .max(1),
-            ),
+            Ok(v) if !v.is_empty() => worker_count(&v, "NODESHARE_JOBS"),
             _ => Parallelism::Jobs(rayon::current_num_threads()),
         });
         CampaignCli { parallelism, quick }

@@ -8,22 +8,29 @@ use nodeshare_bench::orchestrator::{
 };
 use nodeshare_bench::{seeds, World};
 use nodeshare_core::{StrategyConfig, StrategyKind};
+use nodeshare_workload::{ArrivalProcess, WorkloadSpec};
 use proptest::prelude::*;
 
 /// A small real campaign grid (axes named so failure labels are
 /// recognizable), used by the fault-isolation tests.
-fn small_spec() -> CampaignSpec {
+fn small_spec(world: &World) -> CampaignSpec {
     CampaignSpec::on_evaluation_cluster(
         "faults",
         vec![
-            PresetVariant {
-                n_jobs: Some(25),
-                ..PresetVariant::saturated("saturated")
-            },
-            PresetVariant {
-                n_jobs: Some(20),
-                ..PresetVariant::online("online")
-            },
+            PresetVariant::new(
+                "saturated",
+                WorkloadSpec {
+                    n_jobs: 25,
+                    ..world.saturated_spec(0)
+                },
+            ),
+            PresetVariant::new(
+                "online",
+                WorkloadSpec {
+                    n_jobs: 20,
+                    ..world.online_spec(0)
+                },
+            ),
         ],
         vec![
             StrategyConfig::exclusive(StrategyKind::EasyBackfill).into(),
@@ -58,10 +65,11 @@ proptest! {
     ) {
         // A real spec supplies the grid enumeration; the cells carry
         // coordinates only.
+        let template = WorkloadSpec::evaluation(&nodeshare_perf::AppCatalog::trinity(), 0);
         let spec = CampaignSpec {
             name: "prop",
             presets: (0..n_presets)
-                .map(|i| PresetVariant::saturated(format!("p{i}")))
+                .map(|i| PresetVariant::new(format!("p{i}"), template.clone()))
                 .collect(),
             clusters: (0..n_clusters)
                 .map(|i| nodeshare_bench::campaign::ClusterVariant::named(
@@ -127,7 +135,7 @@ proptest! {
 #[test]
 fn panicking_cell_reports_coordinates_without_poisoning_siblings() {
     let world = World::evaluation();
-    let spec = small_spec();
+    let spec = small_spec(&world);
     let cells = spec.cells();
     let opts = CellOptions::default();
     // Poison one mid-grid cell: online preset, co-backfill, second seed.
@@ -182,12 +190,15 @@ fn panicking_cell_reports_coordinates_without_poisoning_siblings() {
 #[test]
 fn run_campaign_surfaces_failed_cells_with_coordinates() {
     let world = World::evaluation();
-    let mut spec = small_spec();
-    spec.presets.push(PresetVariant {
-        n_jobs: Some(10),
-        arrival_rate: Some(-1.0),
-        ..PresetVariant::saturated("poison")
-    });
+    let mut spec = small_spec(&world);
+    spec.presets.push(PresetVariant::new(
+        "poison",
+        WorkloadSpec {
+            n_jobs: 10,
+            arrival: ArrivalProcess::Poisson { rate: -1.0 },
+            ..world.saturated_spec(0)
+        },
+    ));
 
     let failures = run_campaign(&world, &spec, Parallelism::Jobs(4), &CellOptions::default())
         .expect_err("the poison preset must fail the campaign");

@@ -58,36 +58,6 @@ impl From<ArgError> for CliError {
     }
 }
 
-/// Adapter making `Box<dyn Scheduler>` usable where an `S: Scheduler` is
-/// needed (the learning wrapper is generic).
-struct BoxedScheduler(Box<dyn nodeshare_engine::Scheduler>);
-
-impl nodeshare_engine::Scheduler for BoxedScheduler {
-    fn name(&self) -> &'static str {
-        self.0.name()
-    }
-    fn schedule(
-        &mut self,
-        ctx: &nodeshare_engine::SchedContext<'_>,
-    ) -> Vec<nodeshare_engine::Decision> {
-        self.0.schedule(ctx)
-    }
-    fn explain(
-        &self,
-        ctx: &nodeshare_engine::SchedContext<'_>,
-        decision: &nodeshare_engine::Decision,
-    ) -> nodeshare_engine::StartReason {
-        self.0.explain(ctx, decision)
-    }
-    fn explain_all(
-        &self,
-        ctx: &nodeshare_engine::SchedContext<'_>,
-        decisions: &[nodeshare_engine::Decision],
-    ) -> Vec<nodeshare_engine::StartReason> {
-        self.0.explain_all(ctx, decisions)
-    }
-}
-
 /// Usage text.
 pub const USAGE: &str = "\
 nodeshare — node-sharing batch-system simulator
@@ -224,15 +194,21 @@ fn parse_strategy(inv: &Invocation) -> Result<StrategyConfig, CliError> {
         "oblivious" => PredictorKind::Oblivious,
         other => return Err(CliError::Other(format!("unknown predictor {other:?}"))),
     };
-    if kind.shares() {
-        Ok(StrategyConfig {
-            kind,
+    let config = if kind.shares() {
+        let theta: f64 = inv.num("duration-match", 0.0)?;
+        StrategyConfig {
             pairing,
             predictor,
-        })
+            duration_match: (theta > 0.0).then_some(theta),
+            ..StrategyConfig::sharing(kind)
+        }
     } else {
-        Ok(StrategyConfig::exclusive(kind))
-    }
+        StrategyConfig::exclusive(kind)
+    };
+    Ok(StrategyConfig {
+        estimate_learning: inv.has("learning"),
+        ..config
+    })
 }
 
 fn load_cluster(inv: &Invocation) -> Result<ClusterSpec, CliError> {
@@ -504,34 +480,7 @@ fn prepare_env(inv: &Invocation) -> Result<Env, CliError> {
         config.checkpoint_interval = Some(ckpt_min * 60.0);
     }
 
-    // Build the scheduler, layering optional refinements.
-    let mut sched: Box<dyn nodeshare_engine::Scheduler> = if strategy.kind.shares() {
-        let mut pairing = nodeshare_core::Pairing::new(
-            strategy.pairing,
-            strategy.predictor.build(&catalog, &model),
-        );
-        let theta: f64 = inv.num("duration-match", 0.0)?;
-        if theta > 0.0 {
-            pairing = pairing.with_duration_match(theta);
-        }
-        match strategy.kind {
-            StrategyKind::CoFirstFit => Box::new(nodeshare_core::FirstFit::sharing(pairing)),
-            StrategyKind::CoBackfillOnly => {
-                Box::new(nodeshare_core::Backfill::co_backfill_only(pairing))
-            }
-            _ => Box::new(nodeshare_core::Backfill::co(pairing)),
-        }
-    } else {
-        strategy.build(&catalog, &model)
-    };
-    if inv.has("learning") {
-        // Wrap whatever we built; the learner is policy-agnostic.
-        sched = Box::new(nodeshare_core::EstimateLearning::new(
-            BoxedScheduler(sched),
-            0.9,
-            3,
-        ));
-    }
+    let sched = strategy.build(&catalog, &model);
     Ok(Env {
         catalog,
         truth,

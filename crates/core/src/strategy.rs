@@ -6,6 +6,7 @@ use crate::backfill::Backfill;
 use crate::conservative::Conservative;
 use crate::fcfs::Fcfs;
 use crate::firstfit::FirstFit;
+use crate::learning::EstimateLearning;
 use crate::pairing::{Pairing, PairingPolicy};
 use nodeshare_engine::Scheduler;
 use nodeshare_perf::{AppCatalog, ContentionModel, Predictor};
@@ -77,7 +78,13 @@ impl PredictorKind {
     }
 }
 
-/// A complete strategy description.
+/// Quantile of a user's runtime/estimate history that learned estimate
+/// correction plans with (see [`EstimateLearning`]).
+const LEARNING_QUANTILE: f64 = 0.9;
+/// Completed jobs a user needs before their estimates are corrected.
+const LEARNING_MIN_SAMPLES: usize = 3;
+
+/// A complete strategy description: the one place a scheduler is built.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct StrategyConfig {
     /// Base algorithm.
@@ -86,6 +93,15 @@ pub struct StrategyConfig {
     pub pairing: PairingPolicy,
     /// Slowdown predictor (ignored by exclusive strategies).
     pub predictor: PredictorKind,
+    /// Only pair jobs whose walltime bounds overlap by at least this
+    /// ratio (see [`Pairing::with_duration_match`]; ignored by exclusive
+    /// strategies).
+    #[serde(default)]
+    pub duration_match: Option<f64>,
+    /// Wrap the policy in Tsafrir-style learned walltime-estimate
+    /// correction ([`EstimateLearning`]).
+    #[serde(default)]
+    pub estimate_learning: bool,
 }
 
 impl StrategyConfig {
@@ -96,6 +112,8 @@ impl StrategyConfig {
             kind,
             pairing: PairingPolicy::Never,
             predictor: PredictorKind::Oblivious,
+            duration_match: None,
+            estimate_learning: false,
         }
     }
 
@@ -108,6 +126,8 @@ impl StrategyConfig {
             kind,
             pairing: PairingPolicy::default_threshold(),
             predictor: PredictorKind::ClassBased,
+            duration_match: None,
+            estimate_learning: false,
         }
     }
 
@@ -139,8 +159,8 @@ impl StrategyConfig {
 
     /// Instantiates the scheduler.
     pub fn build(&self, catalog: &AppCatalog, model: &ContentionModel) -> Box<dyn Scheduler> {
-        let pairing = || Pairing::new(self.pairing, self.predictor.build(catalog, model));
-        match self.kind {
+        let pairing = || self.build_pairing(catalog, model);
+        self.wrap(match self.kind {
             StrategyKind::Fcfs => Box::new(Fcfs::new()),
             StrategyKind::FirstFit => Box::new(FirstFit::exclusive()),
             StrategyKind::EasyBackfill => Box::new(Backfill::easy()),
@@ -149,7 +169,7 @@ impl StrategyConfig {
             StrategyKind::CoBackfill => Box::new(Backfill::co(pairing())),
             StrategyKind::CoBackfillOnly => Box::new(Backfill::co_backfill_only(pairing())),
             StrategyKind::Adaptive => Box::new(Adaptive::new()),
-        }
+        })
     }
 
     /// Instantiates the pre-optimization reference implementation of the
@@ -161,8 +181,8 @@ impl StrategyConfig {
         catalog: &AppCatalog,
         model: &ContentionModel,
     ) -> Box<dyn Scheduler> {
-        let pairing = || Pairing::new(self.pairing, self.predictor.build(catalog, model));
-        match self.kind {
+        let pairing = || self.build_pairing(catalog, model);
+        self.wrap(match self.kind {
             StrategyKind::Fcfs => Box::new(Fcfs::new()),
             StrategyKind::FirstFit => Box::new(FirstFit::exclusive().reference()),
             StrategyKind::EasyBackfill => Box::new(Backfill::easy().reference()),
@@ -173,7 +193,28 @@ impl StrategyConfig {
                 Box::new(Backfill::co_backfill_only(pairing()).reference())
             }
             StrategyKind::Adaptive => Box::new(Adaptive::new().reference()),
+        })
+    }
+
+    /// The pairing rule a sharing kind is built with.
+    fn build_pairing(&self, catalog: &AppCatalog, model: &ContentionModel) -> Pairing {
+        let pairing = Pairing::new(self.pairing, self.predictor.build(catalog, model));
+        match self.duration_match {
+            Some(theta) => pairing.with_duration_match(theta),
+            None => pairing,
         }
+    }
+
+    /// Layers the optional estimate correction over a built policy.
+    fn wrap(&self, sched: Box<dyn Scheduler>) -> Box<dyn Scheduler> {
+        if !self.estimate_learning {
+            return sched;
+        }
+        Box::new(EstimateLearning::new(
+            sched,
+            LEARNING_QUANTILE,
+            LEARNING_MIN_SAMPLES,
+        ))
     }
 }
 
@@ -218,6 +259,22 @@ mod tests {
         assert_eq!(cfg.build(&catalog, &model).name(), "adaptive");
         assert_eq!(cfg.build_reference(&catalog, &model).name(), "adaptive");
         assert!(!StrategyConfig::lineup().contains(&cfg));
+    }
+
+    #[test]
+    fn refinements_wrap_every_kind_without_renaming_it() {
+        let catalog = AppCatalog::trinity();
+        let model = ContentionModel::calibrated();
+        for plain in StrategyConfig::lineup() {
+            let refined = StrategyConfig {
+                duration_match: Some(0.5),
+                estimate_learning: true,
+                ..plain
+            };
+            let name = plain.build(&catalog, &model).name();
+            assert_eq!(refined.build(&catalog, &model).name(), name);
+            assert_eq!(refined.build_reference(&catalog, &model).name(), name);
+        }
     }
 
     #[test]

@@ -220,6 +220,30 @@ pub trait Scheduler {
     }
 }
 
+/// A boxed policy is a policy, so generic wrappers (estimate learning,
+/// priority layers) compose over whatever a strategy factory built.
+impl<S: Scheduler + ?Sized> Scheduler for Box<S> {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn schedule(&mut self, ctx: &SchedContext<'_>) -> Vec<Decision> {
+        (**self).schedule(ctx)
+    }
+
+    fn explain(&self, ctx: &SchedContext<'_>, decision: &Decision) -> crate::trace::StartReason {
+        (**self).explain(ctx, decision)
+    }
+
+    fn explain_all(
+        &self,
+        ctx: &SchedContext<'_>,
+        decisions: &[Decision],
+    ) -> Vec<crate::trace::StartReason> {
+        (**self).explain_all(ctx, decisions)
+    }
+}
+
 pub(crate) fn summary_of(r: &RunningJob, kill_at: Seconds) -> RunningSummary {
     RunningSummary::of(r, kill_at)
 }

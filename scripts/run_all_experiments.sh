@@ -3,32 +3,32 @@
 #
 # Usage: run_all_experiments.sh [--jobs N | --serial]
 #
-# The campaign-orchestrated experiments (see CAMPAIGN_BINS below) shard
-# their (strategy x seed x preset x cluster) cell grid over N workers;
-# `--jobs`/`--serial` (or NODESHARE_JOBS=N|serial) is passed through to
-# them. The merge is deterministic, so results/ is bit-identical
-# whatever worker count is chosen. The remaining binaries are serial (or
-# use their own internal replication parallelism) and ignore the flag.
+# Every seeded experiment except F14 runs through the campaign
+# orchestrator, which shards its (preset x cluster x strategy x seed)
+# cell grid over N workers. `--jobs N`/`--serial` is exported as
+# NODESHARE_JOBS, which each of them reads; the merge is deterministic,
+# so results/ is bit-identical whatever worker count is chosen. T1 and
+# F2 simulate nothing, and F14 keeps its own replication loop (its gang
+# variant swaps the ground-truth model); they ignore the setting.
 #
-# Each experiment also dumps per-campaign telemetry (JSONL samples +
-# Prometheus exposition) into results/telemetry/ unless the caller
-# already pointed NODESHARE_TELEMETRY elsewhere (or disabled it with
-# NODESHARE_TELEMETRY=0). Campaign binaries write one subdirectory per
-# cell (results/telemetry/<campaign>/<cell-slug>/), so parallel cells
-# never interleave JSONL writes into a shared file.
+# Each campaign also dumps per-cell telemetry (JSONL samples +
+# Prometheus exposition) into
+# results/telemetry/<campaign>/<cell-slug>/campaign.{jsonl,prom} unless
+# the caller already pointed NODESHARE_TELEMETRY elsewhere (or disabled
+# it with NODESHARE_TELEMETRY=0), so parallel cells never interleave
+# writes into a shared file.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
-JOBS_ARGS=()
 while (($#)); do
   case "$1" in
     --jobs)
       shift
       [[ $# -ge 1 ]] || { echo "--jobs needs a worker count" >&2; exit 2; }
-      JOBS_ARGS=(--jobs "$1")
+      export NODESHARE_JOBS="$1"
       ;;
     --serial)
-      JOBS_ARGS=(--serial)
+      export NODESHARE_JOBS=serial
       ;;
     *)
       echo "unknown option $1 (see --jobs N / --serial)" >&2
@@ -47,15 +47,6 @@ if [[ "$NODESHARE_TELEMETRY" != 0 && -n "$NODESHARE_TELEMETRY" ]]; then
   mkdir -p "$NODESHARE_TELEMETRY"
 fi
 
-# Experiments ported onto the campaign orchestrator: these accept
-# --jobs/--serial and shard cells over a worker pool.
-CAMPAIGN_BINS=(
-  exp_t2_strategies
-  exp_f3_load_sweep
-  exp_f9_failures
-  exp_f11_smt4
-)
-
 BINS=(
   exp_t1_miniapps
   exp_f2_pair_matrix
@@ -73,6 +64,7 @@ BINS=(
   exp_f13_site_profiles
   exp_f14_gang_vs_smt
   exp_f15_estimate_learning
+  exp_f16_malleable
 )
 
 cargo build --release -p nodeshare-bench || exit 1
@@ -84,11 +76,7 @@ cargo build --release -p nodeshare-bench || exit 1
 failed=()
 for bin in "${BINS[@]}"; do
   echo "=== $bin ==="
-  extra=()
-  if [[ " ${CAMPAIGN_BINS[*]} " == *" $bin "* ]]; then
-    extra=("${JOBS_ARGS[@]}")
-  fi
-  if ! cargo run --release --quiet -p nodeshare-bench --bin "$bin" -- "${extra[@]}"; then
+  if ! cargo run --release --quiet -p nodeshare-bench --bin "$bin"; then
     echo "!!! $bin FAILED (exit $?)" >&2
     failed+=("$bin")
   fi
@@ -100,5 +88,5 @@ if ((${#failed[@]})); then
 fi
 echo "All experiment outputs are in results/."
 if [[ "$NODESHARE_TELEMETRY" != 0 && -n "$NODESHARE_TELEMETRY" ]]; then
-  echo "Per-campaign telemetry (JSONL + .prom) is in $NODESHARE_TELEMETRY/."
+  echo "Per-cell telemetry (JSONL + .prom) is in $NODESHARE_TELEMETRY/<campaign>/<cell>/."
 fi

@@ -460,14 +460,20 @@ fn parallel_campaign_is_bit_identical_to_serial() {
     let spec = CampaignSpec::on_evaluation_cluster(
         "differential",
         vec![
-            PresetVariant {
-                n_jobs: Some(60),
-                ..PresetVariant::saturated("saturated")
-            },
-            PresetVariant {
-                n_jobs: Some(50),
-                ..PresetVariant::online("online")
-            },
+            PresetVariant::new(
+                "saturated",
+                WorkloadSpec {
+                    n_jobs: 60,
+                    ..world.saturated_spec(0)
+                },
+            ),
+            PresetVariant::new(
+                "online",
+                WorkloadSpec {
+                    n_jobs: 50,
+                    ..world.online_spec(0)
+                },
+            ),
         ],
         vec![
             StrategyConfig::exclusive(StrategyKind::EasyBackfill).into(),
@@ -1201,14 +1207,20 @@ fn adaptive_campaign_artifacts_match_easy_backfill_on_rigid_presets() {
         let spec = CampaignSpec::on_evaluation_cluster(
             "rigid-differential",
             vec![
-                PresetVariant {
-                    n_jobs: Some(50),
-                    ..PresetVariant::saturated("saturated")
-                },
-                PresetVariant {
-                    n_jobs: Some(40),
-                    ..PresetVariant::online("online")
-                },
+                PresetVariant::new(
+                    "saturated",
+                    WorkloadSpec {
+                        n_jobs: 50,
+                        ..world.saturated_spec(0)
+                    },
+                ),
+                PresetVariant::new(
+                    "online",
+                    WorkloadSpec {
+                        n_jobs: 40,
+                        ..world.online_spec(0)
+                    },
+                ),
             ],
             // The same axis label for both policies: any byte that
             // differs below is a behavioral divergence, not a name.
