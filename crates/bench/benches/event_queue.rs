@@ -52,7 +52,7 @@ fn bench_interleaved(c: &mut Criterion) {
             }
             for step in 0..4_096u64 {
                 let (t, _) = q.pop().expect("queue never drains");
-                q.push(t + 7.0, Event::SchedulerTick);
+                q.push(t + 7.0, Event::Snapshot(0));
                 if step % 2 == 0 {
                     q.push(
                         t + 13.0,

@@ -49,18 +49,36 @@ fn main() {
         "dil p95",
         "mean wait(m)",
     ]);
+    // (label, E_comp gain, shared time) per θ, loosest first.
+    let mut claims = Vec::new();
     for (s, sv) in spec.strategies.iter().enumerate().skip(1) {
         let ms = run.seed_metrics(0, 0, s);
+        let gain = relative_gain(mean_of(&ms, |m| m.computational_efficiency), base_comp);
+        let shared = mean_of(&ms, |m| m.shared_fraction);
+        claims.push((sv.label.clone(), gain, shared));
         t.row(vec![
             sv.label.clone(),
-            pct(relative_gain(
-                mean_of(&ms, |m| m.computational_efficiency),
-                base_comp,
-            )),
-            pct(mean_of(&ms, |m| m.shared_fraction)),
+            pct(gain),
+            pct(shared),
             format!("{:.2}", mean_of(&ms, |m| m.dilation.p95)),
             format!("{:.0}", mean_of(&ms, |m| m.wait.mean) / 60.0),
         ]);
+    }
+    // The claim: each tighter θ gives up shared time, and every θ keeps
+    // a positive E_comp gain over exclusive EASY. F12 has no reduced
+    // grid, so the check always runs.
+    for pair in claims.windows(2) {
+        let ((loose, _, before), (tight, _, after)) = (&pair[0], &pair[1]);
+        assert!(
+            after < before,
+            "shared time must fall with θ: {loose} {before:.3} -> {tight} {after:.3}"
+        );
+    }
+    for (label, gain, _) in &claims {
+        assert!(
+            *gain > 0.0,
+            "θ {label}: E_comp gain {gain:.3} is not positive"
+        );
     }
     let text = format!(
         "F12 — duration-matched pairing on top of CoBackfill \

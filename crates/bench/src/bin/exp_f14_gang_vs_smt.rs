@@ -106,6 +106,14 @@ fn main() {
             format!("{:.1}", mean_of(ms, |m| m.killed as f64)),
         ]);
     }
+    // The paper's case: SMT lane sharing adds throughput over exclusive
+    // EASY, gang time-slicing loses it.
+    let smt_gain = relative_gain(mean_of(&smt_ms, |m| m.computational_efficiency), base_comp);
+    let gang_gain = relative_gain(mean_of(&gang_ms, |m| m.computational_efficiency), base_comp);
+    assert!(
+        gang_gain < 0.0 && 0.0 < smt_gain,
+        "want gang E_comp gain < 0 < SMT gain, got gang {gang_gain:.3}, SMT {smt_gain:.3}"
+    );
     let text = format!(
         "F14 — SMT lane sharing vs gang time-slicing under the same CoBackfill \
          skeleton\n(saturated campaign, {} replications; slice overhead {}%)\n\n{}\n\

@@ -55,9 +55,11 @@ fn main() {
         "wait:p95(m)",
         "bsld:p95",
     ]);
+    let mut e_sched = Vec::new();
     for (s, sv) in spec.strategies.iter().enumerate() {
         let ms = run.seed_metrics(0, 0, s);
         let es = mean_of(&ms, |m| m.scheduling_efficiency);
+        e_sched.push(es);
         t.row(vec![
             sv.label.clone(),
             format!("{es:.3}"),
@@ -66,6 +68,18 @@ fn main() {
             format!("{:.0}", mean_of(&ms, |m| m.wait.p95) / 60.0),
             format!("{:.1}", mean_of(&ms, |m| m.bounded_slowdown.p95)),
         ]);
+    }
+    // The claim: learning raises E_sched under both easy and
+    // co-backfill (strategies 0/1 and 2/3). F15 has no reduced grid, so
+    // the check always runs.
+    for plain in [0, 2] {
+        let (without, with) = (e_sched[plain], e_sched[plain + 1]);
+        assert!(
+            with > without,
+            "{}: E_sched {with:.3} does not beat {} at {without:.3}",
+            spec.strategies[plain + 1].label,
+            spec.strategies[plain].label
+        );
     }
     let text = format!(
         "F15 — learned walltime-estimate correction (3x mean over-estimation, \

@@ -69,8 +69,7 @@ use nodeshare_bench::campaign::{run_campaign, CampaignSpec, CellOptions, PresetV
 use nodeshare_bench::orchestrator::Parallelism;
 use nodeshare_bench::{seeds, World};
 use nodeshare_core::{StrategyConfig, StrategyKind};
-use nodeshare_engine::{run, simulate, Observe, SimConfig};
-use nodeshare_report::JsonValue;
+use nodeshare_engine::{run, simulate, JsonValue, Observe, SimConfig};
 use nodeshare_workload::WorkloadSpec;
 use rayon::prelude::*;
 use std::fmt::Write as _;

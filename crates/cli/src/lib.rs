@@ -126,7 +126,8 @@ SIMULATE OPTIONS:
                      contract the adaptive strategy may reshape (default 0)
   --mtbf-hours H     inject node failures with this per-node MTBF
   --checkpoint-mins M  salvage work at this checkpoint interval
-  --duration-match T only pair jobs with walltime overlap ratio >= T
+  --duration-match T only pair jobs with walltime overlap ratio >= T,
+                     for T in (0, 1]
   --learning         learn per-user estimate corrections (Tsafrir-style)
   --csv FILE         also write per-job records as CSV
 
@@ -194,12 +195,23 @@ fn parse_strategy(inv: &Invocation) -> Result<StrategyConfig, CliError> {
         "oblivious" => PredictorKind::Oblivious,
         other => return Err(CliError::Other(format!("unknown predictor {other:?}"))),
     };
+    let duration_match = match inv.get("duration-match") {
+        None => None,
+        Some(_) => {
+            let theta: f64 = inv.num("duration-match", 1.0)?;
+            if !(theta > 0.0 && theta <= 1.0) {
+                return Err(CliError::Other(format!(
+                    "--duration-match must be in (0, 1], got {theta}"
+                )));
+            }
+            Some(theta)
+        }
+    };
     let config = if kind.shares() {
-        let theta: f64 = inv.num("duration-match", 0.0)?;
         StrategyConfig {
             pairing,
             predictor,
-            duration_match: (theta > 0.0).then_some(theta),
+            duration_match,
             ..StrategyConfig::sharing(kind)
         }
     } else {

@@ -54,3 +54,19 @@ fn signed_unicode_escape_is_rejected() {
     assert!(stderr.contains("escape at byte 55"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn out_of_order_trace_exits_1_naming_the_event() {
+    // Event 3 finishes the job at t=3, before its start at t=5.
+    let fixture =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/out_of_order_trace.json");
+    let dir = std::env::temp_dir().join("nodeshare_report_cli_order_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (code, stderr) = report(&fixture, &dir);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("event 3: time 3 precedes the previous event's 5"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

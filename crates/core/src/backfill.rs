@@ -291,16 +291,6 @@ impl Scheduler for Backfill {
             self.schedule_fast(ctx)
         }
     }
-
-    fn explain_all(
-        &self,
-        ctx: &SchedContext<'_>,
-        decisions: &[Decision],
-    ) -> Vec<nodeshare_engine::StartReason> {
-        // Same classification as the per-decision default, amortizing
-        // the queue-position scan across the invocation's decisions.
-        nodeshare_engine::StartReason::classify_all(ctx, decisions)
-    }
 }
 
 #[cfg(test)]

@@ -133,15 +133,6 @@ impl Scheduler for Conservative {
             self.schedule_fast(ctx)
         }
     }
-
-    fn explain_all(
-        &self,
-        ctx: &SchedContext<'_>,
-        decisions: &[Decision],
-    ) -> Vec<nodeshare_engine::StartReason> {
-        // Batched classification: one queue scan for the invocation.
-        nodeshare_engine::StartReason::classify_all(ctx, decisions)
-    }
 }
 
 #[cfg(test)]

@@ -819,32 +819,30 @@ impl<'a> Replay<'a> {
             }
         }
         if let Some(info) = self.jobs.get(&job) {
-            if self.auditor.config.enforce_walltime {
-                let grace = match run.mode {
-                    ShareMode::Shared => self.auditor.config.shared_walltime_grace.max(1.0),
-                    ShareMode::Exclusive => 1.0,
-                };
-                // The budget is normalized: a reshaped job consumes it in
-                // proportion to its current width over its requested
-                // width. For never-reshaped jobs this is exactly the
-                // elapsed wall time. Reshape charges are system-initiated,
-                // so each extends the bound by `cost / requested` — the
-                // engine must never kill a job over work it imposed.
-                let bound = info.walltime_estimate * grace
-                    + run.reshape_cost / f64::from(info.nodes.max(1));
-                let ran = run.consumed_at(time);
-                if ran > bound + 1e-6 {
-                    self.flag(
-                        "walltime-enforced",
-                        Some(job),
-                        run.nodes.first().copied(),
-                        time,
-                        format!(
-                            "consumed {ran:.3}s of normalized walltime, past its \
-                             enforced bound of {bound:.3}s"
-                        ),
-                    );
-                }
+            let grace = match run.mode {
+                ShareMode::Shared => self.auditor.config.shared_walltime_grace.max(1.0),
+                ShareMode::Exclusive => 1.0,
+            };
+            // The budget is normalized: a reshaped job consumes it in
+            // proportion to its current width over its requested
+            // width. For never-reshaped jobs this is exactly the
+            // elapsed wall time. Reshape charges are system-initiated,
+            // so each extends the bound by `cost / requested` — the
+            // engine must never kill a job over work it imposed.
+            let bound =
+                info.walltime_estimate * grace + run.reshape_cost / f64::from(info.nodes.max(1));
+            let ran = run.consumed_at(time);
+            if ran > bound + 1e-6 {
+                self.flag(
+                    "walltime-enforced",
+                    Some(job),
+                    run.nodes.first().copied(),
+                    time,
+                    format!(
+                        "consumed {ran:.3}s of normalized walltime, past its \
+                         enforced bound of {bound:.3}s"
+                    ),
+                );
             }
         }
         if run.reshapes > 0 {

@@ -48,8 +48,6 @@ pub enum Event {
         /// Arm stamp the kill was scheduled under.
         arm: u64,
     },
-    /// Periodic scheduler invocation (mirrors SLURM's backfill interval).
-    SchedulerTick,
     /// A node fails: resident jobs are requeued, the node goes down.
     NodeFail(nodeshare_cluster::NodeId),
     /// A failed node returns to service.
@@ -417,14 +415,14 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         for mut q in both() {
-            q.push(5.0, Event::SchedulerTick);
+            q.push(5.0, Event::Snapshot(0));
             q.push(1.0, Event::Arrival(0));
             q.push(3.0, Event::Arrival(1));
             assert_eq!(q.len(), 3);
             assert_eq!(q.peek_time(), Some(1.0));
             assert_eq!(q.pop(), Some((1.0, Event::Arrival(0))));
             assert_eq!(q.pop(), Some((3.0, Event::Arrival(1))));
-            assert_eq!(q.pop(), Some((5.0, Event::SchedulerTick)));
+            assert_eq!(q.pop(), Some((5.0, Event::Snapshot(0))));
             assert_eq!(q.pop(), None);
             assert!(q.is_empty());
         }
@@ -459,7 +457,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-finite")]
     fn rejects_nan_times() {
-        EventQueue::new().push(f64::NAN, Event::SchedulerTick);
+        EventQueue::new().push(f64::NAN, Event::Snapshot(0));
     }
 
     #[test]
@@ -468,7 +466,7 @@ mod tests {
         // the same instant, still fires first — the property that makes
         // streamed arrival injection equivalent to materialized pushes.
         for mut q in both() {
-            q.push(7.0, Event::SchedulerTick);
+            q.push(7.0, Event::Snapshot(0));
             q.push(
                 7.0,
                 Event::Completion {
@@ -478,7 +476,7 @@ mod tests {
             );
             q.push(7.0, Event::Arrival(5));
             assert_eq!(q.pop(), Some((7.0, Event::Arrival(5))));
-            assert_eq!(q.pop(), Some((7.0, Event::SchedulerTick)));
+            assert_eq!(q.pop(), Some((7.0, Event::Snapshot(0))));
             assert_eq!(
                 q.pop(),
                 Some((
@@ -524,7 +522,7 @@ mod tests {
                         job: JobId(rnd() % 50),
                         arm: rnd() % 3,
                     },
-                    _ => Event::SchedulerTick,
+                    _ => Event::Snapshot(0),
                 };
                 cal.push(t, ev.clone());
                 heap.push(t, ev);
@@ -552,14 +550,14 @@ mod tests {
         // One event a simulated year out, the rest clustered — exercises
         // the dry-cycle direct-search fallback.
         let mut q = EventQueue::new();
-        q.push(31_536_000.0, Event::SchedulerTick);
+        q.push(31_536_000.0, Event::Snapshot(0));
         for i in 0..100 {
             q.push(i as f64 * 1e-6, Event::Arrival(i));
         }
         for i in 0..100 {
             assert_eq!(q.pop(), Some((i as f64 * 1e-6, Event::Arrival(i))));
         }
-        assert_eq!(q.pop(), Some((31_536_000.0, Event::SchedulerTick)));
+        assert_eq!(q.pop(), Some((31_536_000.0, Event::Snapshot(0))));
         assert!(q.pop().is_none());
     }
 

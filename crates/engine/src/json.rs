@@ -1,11 +1,13 @@
-//! A minimal JSON reader for trace files.
+//! The workspace's one JSON reader.
 //!
-//! The workspace's vendored `serde` stand-in provides derive markers
-//! only — there is no `serde_json`. Trace files are written by
-//! hand-rolled emitters ([`nodeshare_engine::DecisionTrace::to_json`]),
-//! so this module supplies the matching hand-rolled reader: a small
-//! recursive-descent parser over the JSON grammar, sufficient for the
-//! analytics in this crate and for the exporter's own schema tests.
+//! The vendored `serde` stand-in provides derive markers only — there is
+//! no `serde_json`. Structured output is written by hand-rolled emitters
+//! ([`crate::DecisionTrace::to_json`], [`crate::TelemetrySample::to_json`],
+//! the report's Perfetto exporter, `perf_baseline`), so this module
+//! supplies the matching reader: a small recursive-descent parser over
+//! the JSON grammar. [`crate::DecisionTrace::parse_json`],
+//! [`crate::TelemetrySample::parse`] and `perf_baseline --check` all
+//! decode through it.
 //!
 //! * **Linear time.** Every input byte is visited a constant number of
 //!   times: a string's plain run up to the next `"` or `\` is copied in
@@ -17,6 +19,9 @@
 //!   `BENCH_sched.json` nest at most five deep.
 //! * **Strict escapes.** `\u` takes exactly four ASCII hex digits;
 //!   anything else is an error naming the escape's byte offset.
+//! * **Exact integers.** A plain unsigned integer literal that fits a
+//!   `u64` is kept as [`JsonValue::UInt`], so ids above 2^53 read back
+//!   exactly.
 
 use std::collections::BTreeMap;
 
@@ -31,14 +36,17 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (parsed as `f64`).
+    /// A number written as a plain unsigned integer that fits a `u64`,
+    /// kept exact (an `f64` holds only 53 bits of it).
+    UInt(u64),
+    /// Any other JSON number, parsed as `f64`.
     Number(f64),
     /// A string (escapes decoded).
     String(String),
     /// An array.
     Array(Vec<JsonValue>),
-    /// An object. Key order is not preserved (sorted map) — the
-    /// consumers in this crate look fields up by name.
+    /// An object. Key order is not preserved (sorted map) — every
+    /// consumer looks fields up by name.
     Object(BTreeMap<String, JsonValue>),
 }
 
@@ -73,6 +81,7 @@ impl JsonValue {
     /// The numeric value, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            JsonValue::UInt(n) => Some(*n as f64),
             JsonValue::Number(n) => Some(*n),
             _ => None,
         }
@@ -82,6 +91,7 @@ impl JsonValue {
     /// non-negative whole number.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            JsonValue::UInt(n) => Some(*n),
             JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
                 Some(*n as u64)
             }
@@ -309,6 +319,11 @@ impl Parser<'_> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "bad number")?;
+        if text.bytes().all(|b| b.is_ascii_digit()) {
+            if let Ok(n) = text.parse::<u64>() {
+                return Ok(JsonValue::UInt(n));
+            }
+        }
         text.parse::<f64>()
             .map(JsonValue::Number)
             .map_err(|_| format!("bad number '{text}' at byte {start}"))

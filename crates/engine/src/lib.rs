@@ -23,7 +23,9 @@
 //! * [`telemetry`] — runtime observability ([`SimTelemetry`]): metric
 //!   instruments, scheduler perf counters, and a sim-time JSONL sampler,
 //! * [`trace`] — structured [`DecisionTrace`] of every scheduler decision
-//!   and allocation change,
+//!   and allocation change, with its JSON writer and exact reader,
+//! * [`json`] — the workspace's one JSON reader ([`JsonValue`]), shared
+//!   by trace, telemetry and baseline decoding,
 //! * [`audit`] — the replay [`Auditor`] that re-derives cluster state from
 //!   a trace and checks conservation laws against the outcome.
 //!
@@ -35,6 +37,7 @@
 pub mod audit;
 pub mod events;
 pub mod faults;
+pub mod json;
 pub mod outcome;
 pub mod progress;
 pub mod sim;
@@ -45,6 +48,7 @@ pub mod view;
 pub use audit::{AuditSummary, Auditor, Violation};
 pub use events::{Event, EventQueue, QueueBackend};
 pub use faults::{FailureModel, MaintenanceWindow};
+pub use json::JsonValue;
 pub use outcome::SimOutcome;
 pub use progress::RunningJob;
 pub use sim::{

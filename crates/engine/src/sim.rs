@@ -20,13 +20,6 @@ use std::collections::{BTreeMap, VecDeque};
 pub struct SimConfig {
     /// Cluster to simulate.
     pub cluster: ClusterSpec,
-    /// Kill jobs at their walltime estimate (real batch systems do; the
-    /// EASY reservation guarantee depends on it).
-    pub enforce_walltime: bool,
-    /// Optional periodic scheduler invocation (SLURM's backfill interval).
-    /// Event-driven invocation happens regardless; most policies don't
-    /// need a tick.
-    pub sched_tick: Option<Seconds>,
     /// Walltime grace factor for jobs started in shared mode: the system
     /// kills them at `start + estimate × grace` instead of
     /// `start + estimate`, compensating for co-allocation slowdown the
@@ -84,8 +77,6 @@ impl SimConfig {
     pub fn new(cluster: ClusterSpec) -> Self {
         SimConfig {
             cluster,
-            enforce_walltime: true,
-            sched_tick: None,
             shared_walltime_grace: 1.5,
             failures: None,
             failure_horizon: 30.0 * 86_400.0,
@@ -129,14 +120,10 @@ pub struct Observe<'a> {
 /// chunk whenever the earliest pending event reaches the source's
 /// horizon. A materialized [`Workload`] is just the trivial source
 /// ([`Workload::source`]); the event order, and therefore every outcome
-/// byte, does not depend on how jobs are chunked. One caveat for
-/// tick-driven configs (`sched_tick`): a source that cannot report
-/// exhaustion eagerly — e.g. a trace file whose trailing lines are all
-/// filtered out — may keep the periodic tick armed slightly longer,
-/// adding tick events after the last job finished. All bundled sources
-/// report exhaustion eagerly. Likewise the `event_queue` gauge in
-/// telemetry samples counts *delivered-but-unfired* arrivals only, so it
-/// follows the chunking; counters do not.
+/// byte, does not depend on how jobs are chunked. One caveat: the
+/// `event_queue` gauge in telemetry samples counts
+/// *delivered-but-unfired* arrivals only, so it follows the chunking;
+/// counters do not.
 ///
 /// The trace comes back only when `observe.trace` asks for it. When
 /// `config.audit` is set, the run is traced whatever `observe` says and
@@ -315,10 +302,6 @@ impl<'a> Engine<'a> {
              auditor replays; disable audit for lean runs"
         );
         let mut events = EventQueue::with_backend(config.queue_backend);
-        if let Some(tick) = config.sched_tick {
-            assert!(tick > 0.0, "scheduler tick must be positive");
-            events.push(tick, Event::SchedulerTick);
-        }
         if let Some(failures) = &config.failures {
             for (t, node) in
                 failures.sample_failures(config.cluster.node_count, config.failure_horizon)
@@ -580,19 +563,6 @@ impl<'a> Engine<'a> {
                         // A job finishing exactly at its limit completed.
                         self.finish(job, !done);
                         self.invoke(scheduler);
-                    }
-                }
-                Event::SchedulerTick => {
-                    self.invoke(scheduler);
-                    // Re-arm while arrivals may still come (delivered but
-                    // unfired, or the source has more) or jobs run. The
-                    // bundled sources report exhaustion eagerly, so this
-                    // matches the materialized `arrivals_pending > 0`
-                    // condition exactly.
-                    if !self.pending.is_empty() || !self.source_done || !self.running.is_empty() {
-                        // detlint: allow(D5, invariant stated in the expect message; violating it is a bug, not a recoverable state)
-                        let tick = self.config.sched_tick.expect("tick event implies tick");
-                        self.events.push(self.now + tick, Event::SchedulerTick);
                     }
                 }
                 Event::NodeFail(node) => {
@@ -874,16 +844,14 @@ impl<'a> Engine<'a> {
             ShareMode::Exclusive => 1.0,
         };
         let kill_at = self.now + walltime * grace;
-        if self.config.enforce_walltime {
-            running.kill_arm = self.next_gen();
-            self.events.push(
-                kill_at,
-                Event::WalltimeKill {
-                    job: job_id,
-                    arm: running.kill_arm,
-                },
-            );
-        }
+        running.kill_arm = self.next_gen();
+        self.events.push(
+            kill_at,
+            Event::WalltimeKill {
+                job: job_id,
+                arm: running.kill_arm,
+            },
+        );
         self.running_view
             .insert(job_id, summary_of(&running, kill_at));
         self.running.insert(job_id, running);
@@ -1008,16 +976,14 @@ impl<'a> Engine<'a> {
         let allowance = r.spec.walltime_estimate + r.walltime_credit;
         let remaining = (allowance - r.walltime_consumed).max(0.0);
         let kill_at = self.now + remaining / r.width_factor();
-        if self.config.enforce_walltime {
-            r.kill_arm = self.next_gen();
-            self.events.push(
-                kill_at,
-                Event::WalltimeKill {
-                    job: job_id,
-                    arm: r.kill_arm,
-                },
-            );
-        }
+        r.kill_arm = self.next_gen();
+        self.events.push(
+            kill_at,
+            Event::WalltimeKill {
+                job: job_id,
+                arm: r.kill_arm,
+            },
+        );
         self.running_view.insert(job_id, summary_of(&r, kill_at));
         self.running.insert(job_id, r);
         self.record_occupancy();
@@ -1469,71 +1435,5 @@ mod tests {
         let b = run(&w, &m, &mut Fcfs, &cfg);
         assert_eq!(a.records, b.records);
         assert_eq!(a.busy_core_seconds, b.busy_core_seconds);
-    }
-}
-
-#[cfg(test)]
-mod tick_tests {
-    use super::*;
-    use crate::view::{Decision, SchedContext, Scheduler};
-    use nodeshare_cluster::NodeSpec;
-    use nodeshare_perf::{AppCatalog, ContentionModel};
-    use nodeshare_workload::JobSpec;
-
-    /// A lazy policy that only acts on the periodic tick, never on
-    /// arrival/completion events — models schedulers that batch work.
-    struct TickOnly {
-        armed: bool,
-    }
-    impl Scheduler for TickOnly {
-        fn name(&self) -> &'static str {
-            "tick-only"
-        }
-        fn schedule(&mut self, ctx: &SchedContext<'_>) -> Vec<Decision> {
-            // The engine cannot tell the policy *why* it was invoked, so
-            // the test policy skips every other invocation; only the
-            // periodic tick guarantees it eventually runs again without
-            // any event arriving.
-            self.armed = !self.armed;
-            if !self.armed {
-                return vec![];
-            }
-            let Some(head) = ctx.queue.first() else {
-                return vec![];
-            };
-            match crate::sim::first_idle_nodes(ctx.cluster, head.nodes as usize) {
-                Some(nodes) => vec![Decision::StartExclusive {
-                    job: head.id,
-                    nodes,
-                }],
-                None => vec![],
-            }
-        }
-    }
-
-    #[test]
-    fn periodic_tick_rescues_lazy_policies() {
-        let catalog = AppCatalog::trinity();
-        let truth = CoRunTruth::build(&catalog, &ContentionModel::calibrated());
-        let mut config = SimConfig::new(ClusterSpec::new(2, NodeSpec::tiny()));
-        config.sched_tick = Some(30.0);
-        let jobs: Vec<JobSpec> = (0..4)
-            .map(|i| JobSpec {
-                malleable: Default::default(),
-                id: JobId(i),
-                app: nodeshare_perf::AppId(0),
-                nodes: 2,
-                submit: 0.0,
-                runtime_exclusive: 50.0,
-                walltime_estimate: 100.0,
-                mem_per_node_mib: 0,
-                share_eligible: false,
-                user: 0,
-            })
-            .collect();
-        let w = Workload::new(jobs).unwrap();
-        let out = run(&w, &truth, &mut TickOnly { armed: false }, &config);
-        assert!(out.complete(), "tick must eventually start every job");
-        assert_eq!(out.records.len(), 4);
     }
 }

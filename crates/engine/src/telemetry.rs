@@ -14,6 +14,7 @@
 //! and pays only an `Option` check per instrumentation site, so the
 //! benchmark hot path is unchanged when it is off.
 
+use crate::json::JsonValue;
 use nodeshare_cluster::Cluster;
 use nodeshare_obs::{exponential_buckets, Counter, Gauge, Histogram, MetricsRegistry, SpanTimer};
 use nodeshare_workload::Seconds;
@@ -206,31 +207,26 @@ impl TelemetrySample {
     /// Parses one JSONL line produced by [`TelemetrySample::to_json`].
     /// Returns `None` for malformed lines or missing fields.
     pub fn parse(line: &str) -> Option<TelemetrySample> {
-        let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-        let get = |key: &str| -> Option<f64> {
-            let needle = format!("\"{key}\":");
-            let start = body.find(&needle)? + needle.len();
-            let rest = &body[start..];
-            let end = rest.find(',').unwrap_or(rest.len());
-            rest[..end].trim().parse().ok()
-        };
+        let doc = JsonValue::parse(line).ok()?;
+        let num = |key: &str| doc.get(key)?.as_f64();
+        let count = |key: &str| doc.get(key)?.as_u64();
         Some(TelemetrySample {
-            t: get("t")?,
-            queue_depth: get("queue_depth")? as u64,
-            running: get("running")? as u64,
-            completed: get("completed")? as u64,
-            event_queue: get("event_queue")? as u64,
-            nodes_total: get("nodes_total")? as u64,
-            nodes_occupied: get("nodes_occupied")? as u64,
-            nodes_shared: get("nodes_shared")? as u64,
-            nodes_idle: get("nodes_idle")? as u64,
-            nodes_unavailable: get("nodes_unavailable")? as u64,
-            busy_cores: get("busy_cores")? as u64,
-            utilization: get("utilization")?,
-            decisions: get("decisions")? as u64,
-            starts_exclusive: get("starts_exclusive")? as u64,
-            starts_shared: get("starts_shared")? as u64,
-            backfill_started: get("backfill_started")? as u64,
+            t: num("t")?,
+            queue_depth: count("queue_depth")?,
+            running: count("running")?,
+            completed: count("completed")?,
+            event_queue: count("event_queue")?,
+            nodes_total: count("nodes_total")?,
+            nodes_occupied: count("nodes_occupied")?,
+            nodes_shared: count("nodes_shared")?,
+            nodes_idle: count("nodes_idle")?,
+            nodes_unavailable: count("nodes_unavailable")?,
+            busy_cores: count("busy_cores")?,
+            utilization: num("utilization")?,
+            decisions: count("decisions")?,
+            starts_exclusive: count("starts_exclusive")?,
+            starts_shared: count("starts_shared")?,
+            backfill_started: count("backfill_started")?,
         })
     }
 }

@@ -183,8 +183,9 @@ impl Decision {
 /// A scheduling policy.
 ///
 /// The engine invokes `schedule` whenever the world may have changed (job
-/// arrival, completion, kill, periodic tick) and re-invokes it until it
-/// returns no decisions, so a policy may start one job per call or many.
+/// arrival, completion, kill, node state change) and re-invokes it until
+/// it returns no decisions, so a policy may start one job per call or
+/// many.
 pub trait Scheduler {
     /// Policy name for reports (e.g. `"easy-backfill"`).
     fn name(&self) -> &'static str;
@@ -204,10 +205,8 @@ pub trait Scheduler {
 
     /// Justifies a whole invocation's decisions at once, against the
     /// same pre-apply context. The engine calls this (not `explain`)
-    /// when tracing, so policies that can amortize the justification
-    /// scan across decisions — the default classifier shares one queue
-    /// pass via [`crate::trace::StartReason::classify_all`] — stop
-    /// paying a per-decision re-scan. The default delegates to
+    /// when tracing, so a policy that can amortize its justification
+    /// across decisions may override it. The default delegates to
     /// `explain` per decision, so overriding only `explain` keeps
     /// working; wrapper policies must forward this method to preserve
     /// their inner policy's batching.

@@ -1,4 +1,4 @@
-//! Properties of the trace JSON reader.
+//! Properties of the JSON reader.
 //!
 //! * **Round trip**: any string written with [`escape`] reads back
 //!   unchanged — multi-byte UTF-8, quotes, backslashes and control
@@ -11,10 +11,9 @@
 use std::time::{Duration, Instant};
 
 use nodeshare_cluster::{JobId, NodeId, ShareMode};
-use nodeshare_engine::{DecisionTrace, StartReason, TraceEvent};
+use nodeshare_engine::json::escape;
+use nodeshare_engine::{DecisionTrace, JsonValue, StartReason, TraceEvent};
 use nodeshare_perf::AppId;
-use nodeshare_report::json::escape;
-use nodeshare_report::{JsonValue, TraceData};
 use nodeshare_workload::Malleability;
 use proptest::prelude::*;
 
@@ -127,7 +126,7 @@ fn hundred_thousand_event_trace_parses_in_linear_time() {
             job: JobId(j),
             mode: ShareMode::Shared,
             nodes: nodes.clone(),
-            reason: StartReason::CoScheduled { occupied: 2 },
+            reason: StartReason::CoScheduled,
             idle_before: 60,
             head_waiting: None,
             partners: vec![(nodes[0], JobId(j.saturating_sub(1)))],
@@ -151,11 +150,11 @@ fn hundred_thousand_event_trace_parses_in_linear_time() {
     let json = trace.to_json();
 
     let started = Instant::now();
-    let parsed = TraceData::parse_json(&json).expect("parses");
+    let parsed = DecisionTrace::parse_json(&json).expect("parses");
     let took = started.elapsed();
 
-    assert_eq!(parsed.events.len(), 100_000);
-    assert_eq!(parsed, TraceData::from_trace(&trace));
+    assert_eq!(parsed.len(), 100_000);
+    assert_eq!(parsed, trace);
     assert!(
         took < LINEAR_BOUND,
         "{} MB trace took {took:?}",

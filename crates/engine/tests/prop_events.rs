@@ -21,7 +21,7 @@ fn event_for(tag: u8, n: u64) -> Event {
             job: JobId(n),
             arm: n % 4,
         },
-        3 => Event::SchedulerTick,
+        3 => Event::NodeRepair(NodeId((n % 64) as u32)),
         4 => Event::NodeFail(NodeId((n % 64) as u32)),
         _ => Event::Snapshot(n as usize),
     }

@@ -1,4 +1,4 @@
-//! Derived analytics over a decoded trace.
+//! Derived analytics over a decision trace.
 //!
 //! [`Analysis::from_trace`] folds the flat event list into per-job
 //! lifecycle spans (submit → start(s) → finish, with queue-wait and the
@@ -9,7 +9,8 @@
 //! engine's own records, so a report built from a JSON file on disk can
 //! be trusted like one built in-process.
 
-use crate::model::{ReportEvent, TraceData};
+use nodeshare_cluster::{JobId, NodeId, ShareMode};
+use nodeshare_engine::{DecisionTrace, StartReason, TraceEvent};
 use nodeshare_metrics::{percentile_sorted, StepSeries, Summary};
 use std::collections::BTreeMap;
 
@@ -20,18 +21,17 @@ pub struct StartRecord {
     pub t: f64,
     /// True for a shared-mode allocation.
     pub shared: bool,
-    /// Policy justification label (`head-of-queue`, `backfilled`,
-    /// `co-scheduled`, `unspecified`).
-    pub reason: String,
+    /// The policy's justification.
+    pub reason: StartReason,
     /// Granted nodes.
-    pub nodes: Vec<u64>,
+    pub nodes: Vec<NodeId>,
 }
 
 /// A job's full lifecycle, reconstructed from the trace.
 #[derive(Clone, Debug, PartialEq)]
 pub struct JobSpan {
     /// Job id.
-    pub job: u64,
+    pub job: JobId,
     /// Application id.
     pub app: u64,
     /// Requested node count.
@@ -92,15 +92,15 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// Folds a decoded trace into spans and timelines.
-    pub fn from_trace(data: &TraceData) -> Analysis {
-        let mut spans: BTreeMap<u64, JobSpan> = BTreeMap::new();
+    /// Folds a trace into spans and timelines.
+    pub fn from_trace(trace: &DecisionTrace) -> Analysis {
+        let mut spans: BTreeMap<JobId, JobSpan> = BTreeMap::new();
         let mut busy_cores = StepSeries::new();
         let mut shared_nodes = StepSeries::new();
         let mut queue_depth = StepSeries::new();
         let mut depth: i64 = 0;
 
-        fn span(spans: &mut BTreeMap<u64, JobSpan>, job: u64, t: f64) -> &mut JobSpan {
+        fn span(spans: &mut BTreeMap<JobId, JobSpan>, job: JobId, t: f64) -> &mut JobSpan {
             spans.entry(job).or_insert_with(|| JobSpan {
                 job,
                 app: 0,
@@ -115,69 +115,66 @@ impl Analysis {
             })
         }
 
-        for e in &data.events {
+        for e in trace.events() {
             match e {
-                ReportEvent::Submitted {
-                    t,
+                TraceEvent::Submitted {
+                    time,
                     job,
                     app,
                     nodes,
-                    walltime: _,
-                    share: _,
-                    malleable: _,
+                    ..
                 } => {
-                    let s = span(&mut spans, *job, *t);
-                    s.submit = *t;
-                    s.app = *app;
+                    let s = span(&mut spans, *job, *time);
+                    s.submit = *time;
+                    s.app = u64::from(app.0);
                     s.nodes_requested = *nodes;
                     depth += 1;
-                    queue_depth.record(*t, depth as f64);
+                    queue_depth.record(*time, depth as f64);
                 }
-                ReportEvent::Rejected { t, job } => {
-                    span(&mut spans, *job, *t).rejected = true;
+                TraceEvent::Rejected { time, job } => {
+                    span(&mut spans, *job, *time).rejected = true;
                     depth -= 1;
-                    queue_depth.record(*t, depth as f64);
+                    queue_depth.record(*time, depth as f64);
                 }
-                ReportEvent::Started {
-                    t,
+                TraceEvent::Started {
+                    time,
                     job,
-                    shared,
+                    mode,
                     nodes,
                     reason,
-                    idle_before: _,
-                    partners: _,
+                    ..
                 } => {
-                    span(&mut spans, *job, *t).starts.push(StartRecord {
-                        t: *t,
-                        shared: *shared,
-                        reason: reason.clone(),
+                    span(&mut spans, *job, *time).starts.push(StartRecord {
+                        t: *time,
+                        shared: *mode == ShareMode::Shared,
+                        reason: *reason,
                         nodes: nodes.clone(),
                     });
                     depth -= 1;
-                    queue_depth.record(*t, depth as f64);
+                    queue_depth.record(*time, depth as f64);
                 }
-                ReportEvent::Finished { t, job, killed } => {
-                    let s = span(&mut spans, *job, *t);
-                    s.finish = Some(*t);
+                TraceEvent::Finished { time, job, killed } => {
+                    let s = span(&mut spans, *job, *time);
+                    s.finish = Some(*time);
                     s.killed = *killed;
                 }
-                ReportEvent::Requeued { t, job, node: _ } => {
-                    span(&mut spans, *job, *t).requeues += 1;
+                TraceEvent::Requeued { time, job, .. } => {
+                    span(&mut spans, *job, *time).requeues += 1;
                     depth += 1;
-                    queue_depth.record(*t, depth as f64);
+                    queue_depth.record(*time, depth as f64);
                 }
-                ReportEvent::Reshape { t, job, .. } => {
-                    span(&mut spans, *job, *t).reshapes += 1;
+                TraceEvent::Reshape { time, job, .. } => {
+                    span(&mut spans, *job, *time).reshapes += 1;
                 }
-                ReportEvent::Occupancy {
-                    t,
+                TraceEvent::Occupancy {
+                    time,
                     busy_cores: bc,
                     shared_nodes: sn,
                 } => {
-                    busy_cores.record(*t, *bc as f64);
-                    shared_nodes.record(*t, *sn as f64);
+                    busy_cores.record(*time, *bc as f64);
+                    shared_nodes.record(*time, *sn as f64);
                 }
-                ReportEvent::NodeDown { .. } | ReportEvent::NodeUp { .. } => {}
+                TraceEvent::NodeDown { .. } | TraceEvent::NodeUp { .. } => {}
             }
         }
 
@@ -186,7 +183,7 @@ impl Analysis {
             busy_cores,
             shared_nodes,
             queue_depth,
-            end_time: data.end_time(),
+            end_time: trace.end_time(),
         }
     }
 
@@ -259,7 +256,7 @@ impl Analysis {
         let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
         for s in &self.spans {
             for st in &s.starts {
-                *counts.entry(st.reason.as_str()).or_insert(0) += 1;
+                *counts.entry(st.reason.label()).or_insert(0) += 1;
             }
         }
         counts
@@ -278,7 +275,7 @@ impl Analysis {
             .spans
             .iter()
             .flat_map(|s| &s.starts)
-            .filter(|st| st.reason == "backfilled")
+            .filter(|st| st.reason == StartReason::Backfilled)
             .count();
         backfilled as f64 / total as f64
     }
@@ -330,10 +327,9 @@ impl Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::TraceData;
 
-    fn trace() -> TraceData {
-        TraceData::parse_json(
+    fn trace() -> DecisionTrace {
+        DecisionTrace::parse_json(
             r#"{"events":[
               {"type":"submitted","t":0,"job":1,"app":0,"nodes":1,"walltime":100,"share":true},
               {"type":"submitted","t":1,"job":2,"app":1,"nodes":2,"walltime":100,"share":true},
@@ -359,7 +355,7 @@ mod tests {
         let a = Analysis::from_trace(&trace());
         assert_eq!(a.spans.len(), 3);
         let j1 = &a.spans[0];
-        assert_eq!(j1.job, 1);
+        assert_eq!(j1.job, JobId(1));
         assert_eq!(j1.wait(), Some(2.0));
         assert_eq!(j1.run(), Some(8.0));
         assert!(!j1.starts[0].shared);
@@ -408,7 +404,7 @@ mod tests {
     #[test]
     fn requeues_reset_the_wait_clock() {
         let a = Analysis::from_trace(
-            &TraceData::parse_json(
+            &DecisionTrace::parse_json(
                 r#"{"events":[
                   {"type":"submitted","t":0,"job":1,"app":0,"nodes":1,"walltime":50,"share":false},
                   {"type":"started","t":0,"job":1,"mode":"exclusive","nodes":[0],
@@ -433,7 +429,7 @@ mod tests {
 
     #[test]
     fn empty_trace_yields_zeroes() {
-        let a = Analysis::from_trace(&TraceData::default());
+        let a = Analysis::from_trace(&DecisionTrace::new());
         assert_eq!(a.makespan(), 0.0);
         assert_eq!(a.busy_core_seconds(), 0.0);
         assert_eq!(a.utilization(16), 0.0);

@@ -3,12 +3,10 @@
 //! # nodeshare-report
 //!
 //! Trace analytics and reporting: turns a [`nodeshare_engine::DecisionTrace`]
-//! (live, or its JSON form from disk) into first-class observability
+//! (live, or read back from its JSON form with
+//! [`DecisionTrace::parse_json`]) into first-class observability
 //! artifacts —
 //!
-//! * [`model`] — the decoded event list ([`TraceData`]), buildable from
-//!   an in-process trace or parsed back from `DecisionTrace::to_json`
-//!   output;
 //! * [`analysis`] — per-job lifecycle spans and exact step-function
 //!   timelines ([`Analysis`]), with aggregates defined identically to
 //!   [`nodeshare_metrics::CampaignMetrics`] (the differential suite
@@ -16,24 +14,27 @@
 //! * [`perfetto`] — Chrome/Perfetto trace-event JSON export (node-lane
 //!   tracks, decision instants, occupancy counters) for
 //!   <https://ui.perfetto.dev>;
-//! * [`summary`] — a markdown run report;
-//! * [`json`] — the minimal hand-rolled JSON reader the above share
-//!   (the vendored `serde` stand-in provides no parser).
+//! * [`summary`] — a markdown run report.
 //!
-//! The `nodeshare report <trace.json>` CLI subcommand and the campaign
+//! Every reporter walks the engine's own [`nodeshare_engine::TraceEvent`]
+//! list, so a report is the same whichever road the trace took. The
+//! `nodeshare report <trace.json>` CLI subcommand and the campaign
 //! orchestrator's per-cell reports are thin wrappers over
 //! [`Report::from_json`] / [`Report::from_trace`].
 
 pub mod analysis;
-pub mod json;
-pub mod model;
 pub mod perfetto;
 pub mod summary;
 
 pub use analysis::{Analysis, JobSpan, StartRecord};
-pub use json::JsonValue;
-pub use model::{ReportEvent, TraceData};
 pub use summary::ReportOptions;
+
+use nodeshare_engine::DecisionTrace;
+
+/// The decision trace under its former report-side name. Kept because
+/// the benchmark harness (`nsbench/`) names `TraceData::parse_json`, the
+/// same way the engine keeps `run_streamed` for it.
+pub type TraceData = DecisionTrace;
 
 /// A fully derived report: analysis plus both export formats.
 #[derive(Clone, Debug)]
@@ -47,10 +48,10 @@ pub struct Report {
 }
 
 impl Report {
-    /// Builds the report from a decoded trace.
-    pub fn build(data: &TraceData, opts: &ReportOptions) -> Report {
-        let analysis = Analysis::from_trace(data);
-        let perfetto_json = perfetto::render(data);
+    /// Builds the report from a trace.
+    pub fn from_trace(trace: &DecisionTrace, opts: &ReportOptions) -> Report {
+        let analysis = Analysis::from_trace(trace);
+        let perfetto_json = perfetto::render(trace);
         let markdown = summary::render_markdown(&analysis, opts);
         Report {
             analysis,
@@ -59,14 +60,9 @@ impl Report {
         }
     }
 
-    /// Builds the report from a live in-process trace.
-    pub fn from_trace(trace: &nodeshare_engine::DecisionTrace, opts: &ReportOptions) -> Report {
-        Report::build(&TraceData::from_trace(trace), opts)
-    }
-
     /// Builds the report from trace JSON
     /// (`nodeshare audit --trace` / campaign `trace.json` output).
     pub fn from_json(text: &str, opts: &ReportOptions) -> Result<Report, String> {
-        Ok(Report::build(&TraceData::parse_json(text)?, opts))
+        Ok(Report::from_trace(&DecisionTrace::parse_json(text)?, opts))
     }
 }

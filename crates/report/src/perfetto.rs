@@ -1,6 +1,6 @@
 //! Chrome/Perfetto trace-event export.
 //!
-//! Renders a decoded trace as the JSON object format both `chrome://
+//! Renders a decision trace as the JSON object format both `chrome://
 //! tracing` and <https://ui.perfetto.dev> accept: one process for the
 //! cluster, one thread ("lane") track per concurrent resident slot of
 //! each node, jobs as `X` duration slices, scheduler decisions and node
@@ -18,8 +18,9 @@
 //! (the trace-event `ts` unit); events are emitted time-sorted as the
 //! format requires.
 
-use crate::json::escape;
-use crate::model::{ReportEvent, TraceData};
+use nodeshare_cluster::ShareMode;
+use nodeshare_engine::json::escape;
+use nodeshare_engine::{DecisionTrace, TraceEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -45,7 +46,7 @@ struct OpenSlice {
     lane: usize,
     start: f64,
     shared: bool,
-    reason: String,
+    reason: &'static str,
 }
 
 /// Converts sim-seconds to the trace-event integer microsecond unit.
@@ -53,8 +54,8 @@ fn micros(t: f64) -> i64 {
     (t * 1e6).round() as i64
 }
 
-/// Renders the Perfetto/Chrome trace-event JSON for a decoded trace.
-pub fn render(data: &TraceData) -> String {
+/// Renders the Perfetto/Chrome trace-event JSON for a decision trace.
+pub fn render(trace: &DecisionTrace) -> String {
     let mut events: EventBuf = Vec::new();
     let mut seq = 0usize;
     let mut push = |events: &mut EventBuf, ts: i64, json: String| {
@@ -69,7 +70,7 @@ pub fn render(data: &TraceData) -> String {
     let mut used_tids: BTreeMap<u64, String> = BTreeMap::new();
     used_tids.insert(DECISIONS_TID, "scheduler decisions".to_string());
 
-    let end = data.end_time();
+    let end = trace.end_time();
 
     let close_job = |events: &mut EventBuf,
                      lanes: &mut BTreeMap<u64, Vec<Option<u64>>>,
@@ -89,7 +90,7 @@ pub fn render(data: &TraceData) -> String {
                          \"mode\":\"{}\",\"reason\":\"{}\"}}}}",
                     lane_tid(slice.node, slice.lane),
                     if slice.shared { "shared" } else { "exclusive" },
-                    escape(&slice.reason),
+                    escape(slice.reason),
                 ),
             );
             if let Some(node_lanes) = lanes.get_mut(&slice.node) {
@@ -100,16 +101,18 @@ pub fn render(data: &TraceData) -> String {
         }
     };
 
-    for e in &data.events {
+    for e in trace.events() {
         match e {
-            ReportEvent::Started {
-                t,
+            TraceEvent::Started {
+                time: t,
                 job,
-                shared,
+                mode,
                 nodes,
                 reason,
                 ..
             } => {
+                let job = &job.0;
+                let reason = reason.label();
                 let ts = micros(*t);
                 push(
                     &mut events,
@@ -120,7 +123,7 @@ pub fn render(data: &TraceData) -> String {
                         escape(reason),
                     ),
                 );
-                for &node in nodes {
+                for node in nodes.iter().map(|n| u64::from(n.0)) {
                     let node_lanes = lanes.entry(node).or_default();
                     let lane = match node_lanes.iter().position(Option::is_none) {
                         Some(l) => {
@@ -139,12 +142,15 @@ pub fn render(data: &TraceData) -> String {
                         node,
                         lane,
                         start: *t,
-                        shared: *shared,
-                        reason: reason.clone(),
+                        shared: *mode == ShareMode::Shared,
+                        reason,
                     });
                 }
             }
-            ReportEvent::Reshape { t, job, to, .. } => {
+            TraceEvent::Reshape {
+                time: t, job, to, ..
+            } => {
+                let job = &job.0;
                 // Close the slices on the old node set and reopen on the
                 // new one, so the track view shows the width change.
                 let ts = micros(*t);
@@ -159,7 +165,7 @@ pub fn render(data: &TraceData) -> String {
                     ),
                 );
                 close_job(&mut events, &mut lanes, &mut open, &mut push, *job, *t);
-                for &node in to {
+                for node in to.iter().map(|n| u64::from(n.0)) {
                     let node_lanes = lanes.entry(node).or_default();
                     let lane = match node_lanes.iter().position(Option::is_none) {
                         Some(l) => {
@@ -179,14 +185,15 @@ pub fn render(data: &TraceData) -> String {
                         lane,
                         start: *t,
                         shared: false,
-                        reason: "reshape".to_string(),
+                        reason: "reshape",
                     });
                 }
             }
-            ReportEvent::Finished { t, job, .. } => {
-                close_job(&mut events, &mut lanes, &mut open, &mut push, *job, *t);
+            TraceEvent::Finished { time: t, job, .. } => {
+                close_job(&mut events, &mut lanes, &mut open, &mut push, job.0, *t);
             }
-            ReportEvent::Requeued { t, job, .. } => {
+            TraceEvent::Requeued { time: t, job, .. } => {
+                let job = &job.0;
                 let ts = micros(*t);
                 push(
                     &mut events,
@@ -198,7 +205,13 @@ pub fn render(data: &TraceData) -> String {
                 );
                 close_job(&mut events, &mut lanes, &mut open, &mut push, *job, *t);
             }
-            ReportEvent::NodeDown { t, node, cause } => {
+            TraceEvent::NodeDown {
+                time: t,
+                node,
+                cause,
+            } => {
+                let node = node.0;
+                let cause = cause.label();
                 let ts = micros(*t);
                 push(
                     &mut events,
@@ -210,7 +223,8 @@ pub fn render(data: &TraceData) -> String {
                     ),
                 );
             }
-            ReportEvent::NodeUp { t, node } => {
+            TraceEvent::NodeUp { time: t, node } => {
+                let node = node.0;
                 let ts = micros(*t);
                 push(
                     &mut events,
@@ -221,8 +235,8 @@ pub fn render(data: &TraceData) -> String {
                     ),
                 );
             }
-            ReportEvent::Occupancy {
-                t,
+            TraceEvent::Occupancy {
+                time: t,
                 busy_cores,
                 shared_nodes,
             } => {
@@ -244,13 +258,13 @@ pub fn render(data: &TraceData) -> String {
                     ),
                 );
             }
-            ReportEvent::Submitted { .. } | ReportEvent::Rejected { .. } => {}
+            TraceEvent::Submitted { .. } | TraceEvent::Rejected { .. } => {}
         }
     }
 
     // Queue-depth counter from the derived timeline (submissions and
     // rejections are folded there rather than emitted per event).
-    let analysis = crate::analysis::Analysis::from_trace(data);
+    let analysis = crate::analysis::Analysis::from_trace(trace);
     for &(t, v) in analysis.queue_depth.points() {
         let ts = micros(t);
         push(
@@ -315,10 +329,10 @@ pub fn render(data: &TraceData) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::JsonValue;
+    use nodeshare_engine::JsonValue;
 
-    fn trace() -> TraceData {
-        TraceData::parse_json(
+    fn trace() -> DecisionTrace {
+        DecisionTrace::parse_json(
             r#"{"events":[
               {"type":"submitted","t":0,"job":1,"app":0,"nodes":1,"walltime":100,"share":true},
               {"type":"submitted","t":0,"job":2,"app":1,"nodes":1,"walltime":100,"share":true},
@@ -363,7 +377,7 @@ mod tests {
 
     #[test]
     fn lanes_are_reused_after_release() {
-        let data = TraceData::parse_json(
+        let data = DecisionTrace::parse_json(
             r#"{"events":[
               {"type":"started","t":0,"job":1,"mode":"exclusive","nodes":[0],
                "reason":"head-of-queue","idle_before":1,"partners":[]},
@@ -389,7 +403,7 @@ mod tests {
 
     #[test]
     fn unfinished_jobs_extend_to_trace_end() {
-        let data = TraceData::parse_json(
+        let data = DecisionTrace::parse_json(
             r#"{"events":[
               {"type":"started","t":0,"job":1,"mode":"exclusive","nodes":[0],
                "reason":"head-of-queue","idle_before":1,"partners":[]},

@@ -144,11 +144,11 @@ pub fn render_markdown(analysis: &Analysis, opts: &ReportOptions) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::TraceData;
+    use nodeshare_engine::DecisionTrace;
 
     fn analysis() -> Analysis {
         Analysis::from_trace(
-            &TraceData::parse_json(
+            &DecisionTrace::parse_json(
                 r#"{"events":[
                   {"type":"submitted","t":0,"job":1,"app":0,"nodes":1,"walltime":100,"share":true},
                   {"type":"started","t":2,"job":1,"mode":"exclusive","nodes":[0],
@@ -200,7 +200,7 @@ mod tests {
     #[test]
     fn empty_analysis_renders_placeholders() {
         let md = render_markdown(
-            &Analysis::from_trace(&TraceData::default()),
+            &Analysis::from_trace(&DecisionTrace::new()),
             &ReportOptions::default(),
         );
         assert!(md.contains("No job finished"));

@@ -7,14 +7,17 @@
 //! * **Schema**: the Perfetto export must be valid trace-event JSON —
 //!   time-sorted, every duration slice non-negative and on a named
 //!   node-lane track, decision instants and counters well-formed.
-//! * **Round-trip**: a report built from the JSON file form of a trace
+//! * **Round-trip**: every lineup trace reads back from its JSON form
+//!   unchanged, and a report built from the JSON file form of a trace
 //!   must be identical to one built from the live trace.
 
 use nodeshare_cluster::ClusterSpec;
 use nodeshare_core::StrategyConfig;
-use nodeshare_engine::{simulate, DecisionTrace, Observe, Scheduler, SimConfig, SimOutcome};
+use nodeshare_engine::{
+    simulate, DecisionTrace, JsonValue, Observe, Scheduler, SimConfig, SimOutcome,
+};
 use nodeshare_perf::{AppCatalog, CoRunTruth, ContentionModel};
-use nodeshare_report::{JsonValue, Report, ReportOptions, TraceData};
+use nodeshare_report::{Report, ReportOptions};
 use nodeshare_workload::{ArrivalProcess, Workload, WorkloadSpec};
 
 fn saturated_workload(catalog: &AppCatalog, seed: u64, n_jobs: usize) -> Workload {
@@ -62,6 +65,12 @@ fn report_aggregates_match_campaign_metrics() {
         let mut sched = cfg.build(&catalog, &model);
         let (out, trace) = simulate_traced(&workload, &matrix, sched.as_mut(), &config);
         assert!(out.complete(), "{}", cfg.label());
+        assert_eq!(
+            DecisionTrace::parse_json(&trace.to_json()).as_ref(),
+            Ok(&trace),
+            "{}: parse_json must invert to_json",
+            cfg.label()
+        );
         let metrics = out.metrics(&cluster);
 
         let report = Report::from_trace(&trace, &ReportOptions::default());
@@ -166,13 +175,9 @@ fn json_and_in_process_reports_are_identical() {
     let mut sched = cfg.build(&catalog, &model);
     let (_, trace) = simulate_traced(&workload, &matrix, sched.as_mut(), &config);
 
-    let live = TraceData::from_trace(&trace);
-    let parsed = TraceData::parse_json(&trace.to_json()).expect("trace JSON parses");
-    assert_eq!(live, parsed);
-
     let opts = ReportOptions::default();
-    let from_live = Report::build(&live, &opts);
-    let from_json = Report::build(&parsed, &opts);
+    let from_live = Report::from_trace(&trace, &opts);
+    let from_json = Report::from_json(&trace.to_json(), &opts).expect("trace JSON parses");
     assert_eq!(from_live.perfetto_json, from_json.perfetto_json);
     assert_eq!(from_live.markdown, from_json.markdown);
 }
