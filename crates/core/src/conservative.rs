@@ -80,7 +80,7 @@ impl Conservative {
                 .plan(job.id, job.nodes as i64, job.walltime_estimate);
             if start <= ctx.now + PLAN_EPS {
                 if let Some(nodes) = self.planner.pick_exclusive(ctx, job, false) {
-                    self.timeline.invalidate();
+                    self.timeline.started(job.nodes as i64);
                     return vec![Decision::StartExclusive { job: job.id, nodes }];
                 }
                 // Count-based plan said "fits now" but no concrete idle

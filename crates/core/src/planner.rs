@@ -526,17 +526,22 @@ fn update_partner(buf: &mut Vec<(JobId, u32, f64)>, r: &Resident, rate: f64) {
 ///    one O(R) sweep.
 /// 2. **Allocation-free planning** — `earliest_fit` walks candidates and
 ///    deficient steps with two monotone cursors (amortized O(S) per job
-///    instead of O(S²)), and `reserve` splices the two breakpoints in
-///    place instead of rebuilding. Jobs whose `(nodes, duration)` already
+///    instead of O(S²)) and skips every candidate a deficient step
+///    already rules out; `reserve` splices the two breakpoints in place
+///    instead of rebuilding. Jobs whose `(nodes, duration)` already
 ///    proved unfittable since the last profile mutation are skipped via a
 ///    memo (the same per-pass failure-memo discipline as
 ///    [`Planner::pick_shared`]).
-/// 3. **Cross-pass placement cache** — when a pass ends with no decision,
-///    the planned queue prefix and final steps are sealed under the
-///    cluster stamp. A later pass with an equal stamp and an unchanged
-///    queue prefix resumes planning at the first new job instead of
-///    re-planning the prefix (see [`ReservationTimeline::begin_pass`]
-///    for the exact soundness conditions when `now` has advanced).
+/// 3. **Cross-pass placement cache** — every pass leaves its planned
+///    queue prefix and steps for the next one: a pass with no decision
+///    [`seal`](ReservationTimeline::seal)s the whole prefix, and a pass
+///    that starts the job at queue index `k` keeps the `k` jobs before it
+///    ([`started`](ReservationTimeline::started)). The next pass resumes
+///    after that prefix when it can prove a rebuild would replan it
+///    identically — after a submit, after `now` advanced, or after the
+///    recorded start, which it then applies to the steps in place — and
+///    rebuilds from job 0 otherwise, in particular after every release.
+///    [`ReservationTimeline::begin_pass`] states the exact conditions.
 ///
 /// `crates/core/tests/prop_profile.rs` checks the timeline step-for-step
 /// against a from-scratch rebuild at every decision point of randomized
@@ -558,22 +563,33 @@ pub struct ReservationTimeline {
     /// against the *current* steps; cleared on any profile mutation.
     // detlint: allow(D1, infeasibility memo probed via contains; never iterated)
     infeasible: HashSet<u128>,
-    /// Whether the sealed memo below may be reused.
-    memo_valid: bool,
-    /// `now` of the sealed pass.
-    memo_now: f64,
-    /// Anchor level (`steps[0].1`) at seal time.
-    memo_level: i64,
-    /// Minimum node request over all planned jobs of the sealed prefix.
-    memo_min_k: i64,
-    /// Whether any planned reservation was anchored at `now` (start ≤
-    /// `now + PLAN_EPS`), which makes the profile sensitive to where the
-    /// anchor sits.
+    /// What the previous pass left for this one to resume from.
+    carry: Carry,
+    /// Whether a committed reservation of the planned prefix was anchored
+    /// at `now` (start ≤ `now + PLAN_EPS`) or covers no time at all
+    /// (`start + duration == start` in floating point). Either makes the
+    /// prefix's plan depend on where the anchor sits and on the free
+    /// count there, so neither resume across a change may reuse it.
     memo_anchored: bool,
-    /// Queue prefix (job ids, in order) the sealed profile accounts for.
+    /// Queue prefix (job ids, in order) the steps account for, plus —
+    /// while a start is carried — the started job as its last entry.
     memo_ids: Vec<JobId>,
     /// `now` of the pass currently being planned.
     pass_now: f64,
+}
+
+/// The planned state one pass hands to the next.
+#[derive(Clone, Copy, Debug, Default)]
+enum Carry {
+    /// Nothing reusable: the next pass rebuilds.
+    #[default]
+    Nothing,
+    /// A pass at `now` ended with no decision; the steps account for all
+    /// of `memo_ids`.
+    Sealed { now: f64 },
+    /// A pass at `now` started the last job of `memo_ids` on `nodes`
+    /// nodes; the steps account for the jobs before it.
+    Started { now: f64, nodes: i64 },
 }
 
 impl ReservationTimeline {
@@ -585,50 +601,138 @@ impl ReservationTimeline {
     /// Starts a scheduling pass and returns the queue index to resume
     /// planning at: `0` means the profile was rebuilt and every queued
     /// job must be planned; `n > 0` means the first `n` jobs are already
-    /// accounted for by the sealed previous pass and planning continues
-    /// at `queue[n..]` against the retained steps.
+    /// accounted for by the previous pass and planning continues at
+    /// `queue[n..]` against the retained steps.
     ///
-    /// The prefix is reusable when the cluster stamp is unchanged (equal
-    /// stamps mean identical occupancy, so the base profile and every
-    /// prefix decision replay identically), the queued job ids still
-    /// match the sealed prefix, and either
+    /// Every resume requires the queue to still begin with the planned
+    /// prefix's job ids. After a [`sealed`](ReservationTimeline::seal)
+    /// pass it also requires an unchanged cluster stamp (equal stamps
+    /// mean identical occupancy, so the base profile and every prefix
+    /// decision replay identically), and either
     ///
     /// * `now` is unchanged (the engine re-invokes the policy within one
     ///   instant until it returns no decision), or
-    /// * `now` advanced and the old plan is provably insensitive to the
-    ///   anchor move: no reservation was anchored at the old `now`, no
-    ///   profile breakpoint lies in `(old now, new now + PLAN_EPS]` (so
-    ///   no planned start or release crosses the anchor or the fit-now
-    ///   epsilon window), and every planned job requests more nodes than
-    ///   the anchor level (so the `now` candidate fails its count check
-    ///   in both passes and the remaining candidates — all strictly
-    ///   later — are shared). Under those conditions the fresh rebuild
-    ///   would produce these exact steps with the anchor moved, so the
-    ///   anchor is moved in place.
+    /// * `now` advanced, no committed reservation was anchored at the old
+    ///   `now`, and no profile breakpoint lies in `(old now, new now +
+    ///   PLAN_EPS]`. Then the anchor level is the same at both instants,
+    ///   every planned start lies past the new epsilon window, and a job
+    ///   that failed the old `now` candidate fails the new one for the
+    ///   same reason (too few nodes at the anchor, or a deficient step
+    ///   that is still past `t + PLAN_EPS` and before `end − PLAN_EPS`);
+    ///   the later candidates are shared. The rebuild would produce these
+    ///   steps with the anchor moved, so the anchor is moved in place.
+    ///
+    /// After a [`started`](ReservationTimeline::started) pass it requires
+    /// the context to be exactly that start applied: the same `now`, the
+    /// cluster stamp one version later, and the started job running on
+    /// the recorded node count with an estimated end `est_end > now`. A
+    /// rebuild's base then differs only by that job's nodes over
+    /// `[now, est_end)`. The prefix replays identically against it when,
+    /// in addition, no prefix reservation was anchored at `now`, the
+    /// prefix's steps keep at least `nodes` free at every breakpoint in
+    /// `[now, est_end)` (checked exactly, not within `PLAN_EPS`: each
+    /// prefix job then still has its own nodes inside its window), and no
+    /// other breakpoint lies in `(est_end, est_end + PLAN_EPS]`. The last
+    /// condition holds even when `est_end` is already a breakpoint of the
+    /// final steps: a rebuild's base has it from the start, so it is a
+    /// candidate for every prefix job, including those planned before the
+    /// later reservation that put it here. A job whose candidate before
+    /// `est_end` failed on a deficient step then fails at `est_end` on the
+    /// same step, which lies past `est_end + PLAN_EPS`. The start is then
+    /// occupied in place and `est_end` joins the release cache under the
+    /// new stamp.
+    ///
+    /// Anything else — a release, a node state change, a reordered queue,
+    /// time moving backwards — rebuilds.
     pub fn begin_pass(&mut self, ctx: &SchedContext<'_>) -> usize {
         self.pass_now = ctx.now;
         let key = ctx.cluster.stamp();
-        let memo_ok = self.memo_valid
-            && self.cache_key == Some(key)
-            && self.memo_ids.len() <= ctx.queue.len()
-            && self.memo_ids.iter().zip(ctx.queue).all(|(m, j)| *m == j.id);
-        if memo_ok {
-            if ctx.now == self.memo_now {
-                self.memo_valid = false; // re-sealed by `seal`
-                return self.memo_ids.len();
-            }
-            if ctx.now > self.memo_now
-                && !self.memo_anchored
-                && self.memo_min_k > self.memo_level
-                && self.no_breakpoint_in(self.memo_now, ctx.now + PLAN_EPS)
-            {
-                self.steps[0].0 = ctx.now;
-                self.memo_valid = false;
-                return self.memo_ids.len();
-            }
+        let resumed = match std::mem::take(&mut self.carry) {
+            Carry::Nothing => false,
+            Carry::Sealed { now } => self.resume_sealed(ctx, key, now),
+            Carry::Started { now, nodes } => self.resume_started(ctx, key, now, nodes),
+        };
+        if resumed {
+            return self.memo_ids.len();
         }
         self.rebuild(ctx, key);
         0
+    }
+
+    /// Whether the queue still begins with the planned prefix.
+    fn prefix_queued(&self, ctx: &SchedContext<'_>) -> bool {
+        self.memo_ids.len() <= ctx.queue.len()
+            && self.memo_ids.iter().zip(ctx.queue).all(|(m, j)| *m == j.id)
+    }
+
+    /// The resume after a sealed pass at `sealed_now`.
+    fn resume_sealed(&mut self, ctx: &SchedContext<'_>, key: (u64, u64), sealed_now: f64) -> bool {
+        if self.cache_key != Some(key) || !self.prefix_queued(ctx) {
+            return false;
+        }
+        if ctx.now == sealed_now {
+            return true;
+        }
+        if ctx.now > sealed_now
+            && !self.memo_anchored
+            && self.no_breakpoint_in(sealed_now, ctx.now + PLAN_EPS)
+        {
+            self.steps[0].0 = ctx.now;
+            return true;
+        }
+        false
+    }
+
+    /// The resume after a pass at `now` that started the last job of
+    /// `memo_ids` on `nodes` nodes. `cache_key` still holds that pass's
+    /// stamp: every pass leaves it equal to its own.
+    fn resume_started(
+        &mut self,
+        ctx: &SchedContext<'_>,
+        key: (u64, u64),
+        now: f64,
+        nodes: i64,
+    ) -> bool {
+        let Some(job) = self.memo_ids.pop() else {
+            return false;
+        };
+        let Some(est_end) = ctx
+            .running
+            .get(&job)
+            .filter(|r| i64::from(r.nodes) == nodes)
+            .map(|r| r.est_end())
+        else {
+            return false;
+        };
+        let applied = ctx.now == now
+            && self.cache_key.is_some_and(|c| key == (c.0, c.1 + 1))
+            && est_end > now
+            && !self.memo_anchored
+            && self.prefix_queued(ctx);
+        if !applied {
+            return false;
+        }
+        // The anchor sits at `now`, so these are all the breakpoints the
+        // started window covers.
+        let covered = self.steps.partition_point(|s| s.0 < est_end);
+        if self.steps[..covered].iter().any(|s| s.1 < nodes) {
+            return false;
+        }
+        // Required even when `est_end` is already a breakpoint here: a
+        // later prefix reservation may have put it there, after an earlier
+        // prefix job was planned without it as a candidate.
+        if !self.no_breakpoint_in(est_end, est_end + PLAN_EPS) {
+            return false;
+        }
+        let covered = self.ensure_breakpoint(est_end);
+        for s in &mut self.steps[..covered] {
+            s.1 -= nodes;
+        }
+        let at = self.ends.partition_point(|e| e.0 <= est_end);
+        self.ends.insert(at, (est_end, nodes));
+        self.cache_key = Some(key);
+        self.infeasible.clear();
+        true
     }
 
     /// Rebuilds the working steps from the (possibly refreshed) base:
@@ -661,10 +765,8 @@ impl ReservationTimeline {
             }
         }
         self.infeasible.clear();
-        self.memo_valid = false;
         self.memo_ids.clear();
         self.memo_anchored = false;
-        self.memo_min_k = i64::MAX;
     }
 
     /// Whether no breakpoint time `t` satisfies `lo < t ≤ hi`.
@@ -677,11 +779,10 @@ impl ReservationTimeline {
     /// throughout `[t, t + duration)`, bit-identical to
     /// [`crate::util::AvailabilityProfile::earliest_fit`], plus the
     /// cross-pass memo bookkeeping. The caller then either starts the
-    /// job (and must [`ReservationTimeline::invalidate`]) or commits the
-    /// finite plan with [`ReservationTimeline::reserve`].
+    /// job (and reports it with [`ReservationTimeline::started`]) or
+    /// commits the finite plan with [`ReservationTimeline::reserve`].
     pub fn plan(&mut self, id: JobId, nodes: i64, duration: f64) -> f64 {
         self.memo_ids.push(id);
-        self.memo_min_k = self.memo_min_k.min(nodes);
         let key = (duration.to_bits() as u128) | (nodes as u128) << 64;
         if self.infeasible.contains(&key) {
             return f64::INFINITY;
@@ -691,8 +792,6 @@ impl ReservationTimeline {
             // Deterministic against unchanged steps: an identical later
             // request is ∞ too, with no side effects either way.
             self.infeasible.insert(key);
-        } else if start <= self.pass_now + PLAN_EPS {
-            self.memo_anchored = true;
         }
         start
     }
@@ -705,7 +804,10 @@ impl ReservationTimeline {
     /// backwards because both of its conditions are monotone in the
     /// candidate time (a breakpoint inside the epsilon guard for one
     /// candidate stays inside it for every later candidate, and a level
-    /// `≥ nodes` never becomes deficient within one call).
+    /// `≥ nodes` never becomes deficient within one call). A failed
+    /// candidate also rules out every later candidate `t'` with
+    /// `steps[q].0 > t' + PLAN_EPS`: its window ends no earlier, so step
+    /// `q` is deficient inside it too, and those candidates are skipped.
     fn earliest_fit(&self, from: f64, nodes: i64, duration: f64) -> f64 {
         let steps = &self.steps[..];
         let n = steps.len();
@@ -727,6 +829,9 @@ impl ReservationTimeline {
                 if !(q < n && steps[q].0 < end - PLAN_EPS) {
                     return t;
                 }
+                while i < n && steps[q].0 > steps[i].0 + PLAN_EPS {
+                    i += 1;
+                }
             }
             if i >= n {
                 return f64::INFINITY;
@@ -745,6 +850,12 @@ impl ReservationTimeline {
     /// decremented in place.
     pub fn reserve(&mut self, start: f64, duration: f64, nodes: i64) {
         let end = start + duration;
+        // See `memo_anchored`. An empty window subtracts nothing, so after
+        // a start is occupied beneath it the level at `start` no longer
+        // proves that this job still fits there.
+        if start <= self.pass_now + PLAN_EPS || end == start {
+            self.memo_anchored = true;
+        }
         let i0 = self.ensure_breakpoint(start);
         let i1 = self.ensure_breakpoint(end);
         for s in &mut self.steps[i0..i1] {
@@ -771,16 +882,18 @@ impl ReservationTimeline {
     /// Ends a no-decision pass: seals the planned prefix so the next
     /// pass may resume after it.
     pub fn seal(&mut self) {
-        self.memo_now = self.pass_now;
-        self.memo_level = self.steps.first().map_or(0, |s| s.1);
-        self.memo_valid = true;
+        self.carry = Carry::Sealed { now: self.pass_now };
     }
 
-    /// Drops the sealed prefix — called when a decision is returned
-    /// (applying it mutates the cluster, so the profile is stale) or
-    /// when the caller abandons the pass.
-    pub fn invalidate(&mut self) {
-        self.memo_valid = false;
+    /// Ends a pass that starts the job it planned last on `nodes` nodes:
+    /// keeps the prefix planned before it, so the next pass may apply the
+    /// start in place and resume there (see
+    /// [`ReservationTimeline::begin_pass`]).
+    pub fn started(&mut self, nodes: i64) {
+        self.carry = Carry::Started {
+            now: self.pass_now,
+            nodes,
+        };
     }
 
     /// The working profile steps (for equivalence tests).
@@ -968,37 +1081,46 @@ mod timeline_tests {
     /// `total`-node cluster with `busy` = `(job id, nodes, est end)`
     /// exclusive residents packed from node 0 up.
     fn rig(total: u32, busy: &[(u64, u32, f64)], queue: Vec<JobSpec>) -> Rig {
-        let mut cluster = Cluster::new(ClusterSpec::new(total, NodeSpec::tiny()));
-        let mut running = BTreeMap::new();
-        let mut next = 0u32;
+        let mut rig = Rig {
+            cluster: Cluster::new(ClusterSpec::new(total, NodeSpec::tiny())),
+            running: BTreeMap::new(),
+            queue,
+        };
         for &(id, nodes, end) in busy {
-            let ids: Vec<NodeId> = (next..next + nodes).map(NodeId).collect();
-            next += nodes;
-            cluster.allocate_exclusive(JobId(id), &ids, 64).unwrap();
-            running.insert(
-                JobId(id),
+            rig.occupy(JobId(id), nodes, 0.0, end);
+        }
+        rig
+    }
+
+    impl Rig {
+        /// Runs `job` exclusively on the lowest idle node ids from
+        /// `start` until its kill bound `end`.
+        fn occupy(&mut self, job: JobId, nodes: u32, start: f64, end: f64) {
+            let ids: Vec<NodeId> = self.cluster.idle_nodes().take(nodes as usize).collect();
+            self.cluster.allocate_exclusive(job, &ids, 64).unwrap();
+            self.running.insert(
+                job,
                 RunningSummary {
-                    job: JobId(id),
+                    job,
                     app: AppId(0),
                     nodes,
                     requested_nodes: nodes,
                     malleable: Default::default(),
-                    start: 0.0,
-                    walltime_estimate: end,
+                    start,
+                    walltime_estimate: end - start,
                     kill_at: end,
                     share_eligible: false,
                     mode: ShareMode::Exclusive,
                 },
             );
         }
-        Rig {
-            cluster,
-            running,
-            queue,
-        }
-    }
 
-    impl Rig {
+        /// Applies the start of `queue[idx]` at `now`, as the engine does.
+        fn start(&mut self, idx: usize, now: f64) {
+            let job = self.queue.remove(idx);
+            self.occupy(job.id, job.nodes, now, now + job.walltime_estimate);
+        }
+
         fn ctx(&self, now: f64) -> SchedContext<'_> {
             self.ctx_prefix(now, self.queue.len())
         }
@@ -1019,9 +1141,21 @@ mod timeline_tests {
     /// Plans and reserves every queued job against both profiles,
     /// asserting bit-equal plans and identical steps after each commit.
     fn plan_all_checked(tl: &mut ReservationTimeline, ctx: &SchedContext<'_>) {
+        plan_rest_checked(tl, ctx, 0);
+    }
+
+    /// [`plan_all_checked`] for a timeline resumed at queue index `from`:
+    /// its steps must equal a from-scratch replay of `queue[..from]`.
+    fn plan_rest_checked(tl: &mut ReservationTimeline, ctx: &SchedContext<'_>, from: usize) {
         let mut profile = AvailabilityProfile::from_context(ctx);
-        assert_eq!(tl.steps(), profile.steps());
-        for job in ctx.queue {
+        for job in &ctx.queue[..from] {
+            let start = profile.earliest_fit(ctx.now, job.nodes as i64, job.walltime_estimate);
+            if start.is_finite() {
+                profile.reserve(start, job.walltime_estimate, job.nodes as i64);
+            }
+        }
+        assert_eq!(tl.steps(), profile.steps(), "steps at resume index {from}");
+        for job in &ctx.queue[from..] {
             let fast = tl.plan(job.id, job.nodes as i64, job.walltime_estimate);
             let refr = profile.earliest_fit(ctx.now, job.nodes as i64, job.walltime_estimate);
             assert_eq!(fast.to_bits(), refr.to_bits(), "plan for job {}", job.id);
@@ -1132,5 +1266,215 @@ mod timeline_tests {
         let ctx5 = rig.ctx(5.0);
         assert_eq!(tl.begin_pass(&ctx5), 0);
         plan_all_checked(&mut tl, &ctx5);
+    }
+
+    /// One policy pass by counts alone: plans from the resume index,
+    /// reserving each job, until one fits at `now` on idle nodes — which
+    /// it reports started — or seals at the end. Returns the resume index
+    /// and the started job's queue index.
+    fn pass(tl: &mut ReservationTimeline, ctx: &SchedContext<'_>) -> (usize, Option<usize>) {
+        let resume = tl.begin_pass(ctx);
+        for (i, job) in ctx.queue.iter().enumerate().skip(resume) {
+            let start = tl.plan(job.id, job.nodes as i64, job.walltime_estimate);
+            if start <= ctx.now + PLAN_EPS && ctx.cluster.idle_count() >= job.nodes as usize {
+                tl.started(job.nodes as i64);
+                return (resume, Some(i));
+            }
+            if start.is_finite() {
+                tl.reserve(start, job.walltime_estimate, job.nodes as i64);
+            }
+        }
+        tl.seal();
+        (resume, None)
+    }
+
+    /// Runs one pass on `rig` at `now` that must start `queue[k]`, then
+    /// applies that start.
+    fn start_at(tl: &mut ReservationTimeline, rig: &mut Rig, now: f64, k: usize) {
+        assert_eq!(pass(tl, &rig.ctx(now)).1, Some(k));
+        rig.start(k, now);
+    }
+
+    #[test]
+    fn pass_after_a_start_resumes_at_its_queue_index() {
+        // 2 idle nodes, 6 more at t=100. Job 0 (whole machine) plans at
+        // 100; job 1 fits now beside it and starts; job 2 comes after.
+        let mut rig = rig(
+            8,
+            &[(100, 6, 100.0)],
+            vec![queued(0, 8, 50.0), queued(1, 2, 30.0), queued(2, 1, 10.0)],
+        );
+        let mut tl = ReservationTimeline::new();
+        start_at(&mut tl, &mut rig, 0.0, 1);
+        let ctx = rig.ctx(0.0);
+        assert_eq!(
+            tl.begin_pass(&ctx),
+            1,
+            "the prefix before the start survives"
+        );
+        plan_rest_checked(&mut tl, &ctx, 1);
+    }
+
+    #[test]
+    fn start_resume_chains_across_passes() {
+        // Jobs 1 and 2 each start beside the reserved job 0; the second
+        // start resumes on steps the first one's resume produced.
+        let mut rig = rig(
+            8,
+            &[(100, 4, 100.0)],
+            vec![
+                queued(0, 8, 50.0),
+                queued(1, 2, 30.0),
+                queued(2, 2, 60.0),
+                queued(3, 8, 10.0),
+            ],
+        );
+        let mut tl = ReservationTimeline::new();
+        start_at(&mut tl, &mut rig, 0.0, 1);
+        assert_eq!(pass(&mut tl, &rig.ctx(0.0)), (1, Some(1)));
+        rig.start(1, 0.0);
+        let ctx = rig.ctx(0.0);
+        assert_eq!(tl.begin_pass(&ctx), 1);
+        plan_rest_checked(&mut tl, &ctx, 1);
+    }
+
+    #[test]
+    fn anchored_prefix_blocks_the_start_resume() {
+        // Job 0 fits now but is only reserved (as when no concrete idle
+        // nodes pass its memory check); job 1 then starts beside it.
+        let mut rig = rig(
+            8,
+            &[(100, 4, 100.0)],
+            vec![queued(0, 2, 50.0), queued(1, 2, 30.0)],
+        );
+        let mut tl = ReservationTimeline::new();
+        let ctx = rig.ctx(0.0);
+        assert_eq!(tl.begin_pass(&ctx), 0);
+        assert_eq!(tl.plan(JobId(0), 2, 50.0), 0.0);
+        tl.reserve(0.0, 50.0, 2);
+        assert_eq!(tl.plan(JobId(1), 2, 30.0), 0.0);
+        tl.started(2);
+        rig.start(1, 0.0);
+        let ctx = rig.ctx(0.0);
+        assert_eq!(tl.begin_pass(&ctx), 0);
+        plan_all_checked(&mut tl, &ctx);
+    }
+
+    #[test]
+    fn deficient_step_at_the_window_edge_blocks_the_start_resume() {
+        // Job 0 reserves the whole machine from t=10, the release. Job 1
+        // ends PLAN_EPS/2 past 10, so its own fit ignores the empty step
+        // there, but occupying [0, 10 + ε/2) would drive it negative: a
+        // rebuild plans job 0 at 10 + ε/2 instead.
+        let mut rig = rig(
+            4,
+            &[(100, 2, 10.0)],
+            vec![queued(0, 4, 100.0), queued(1, 2, 10.0 + PLAN_EPS / 2.0)],
+        );
+        let mut tl = ReservationTimeline::new();
+        start_at(&mut tl, &mut rig, 0.0, 1);
+        let ctx = rig.ctx(0.0);
+        assert_eq!(tl.begin_pass(&ctx), 0);
+        plan_all_checked(&mut tl, &ctx);
+        assert_eq!(tl.steps()[2].0, 10.0 + PLAN_EPS / 2.0, "job 0 moved");
+    }
+
+    #[test]
+    fn breakpoint_just_after_the_started_end_blocks_the_start_resume() {
+        // Job 1 ends PLAN_EPS/2 before the release at 10: its end is a
+        // new breakpoint with another one within PLAN_EPS after it.
+        let mut rig = rig(
+            4,
+            &[(100, 2, 10.0)],
+            vec![queued(0, 4, 100.0), queued(1, 2, 10.0 - PLAN_EPS / 2.0)],
+        );
+        let mut tl = ReservationTimeline::new();
+        start_at(&mut tl, &mut rig, 0.0, 1);
+        let ctx = rig.ctx(0.0);
+        assert_eq!(tl.begin_pass(&ctx), 0);
+        plan_all_checked(&mut tl, &ctx);
+    }
+
+    #[test]
+    fn breakpoint_just_after_an_existing_started_end_blocks_the_start_resume() {
+        // 3 nodes idle, 3 more at t=5 and 2 at 10 + ε/2. Job 0 plans at
+        // 10 + ε/2; job 1 fails at 0 and 5 on that step and plans at
+        // 60 + ε/2; job 2 reserves [5, 10), which makes 10 a breakpoint;
+        // job 3 starts now and ends at 10. A rebuild has 10 in its base,
+        // so job 1 sees it as a candidate, ignores the step ε/2 later, and
+        // plans at 10.
+        let mut rig = rig(
+            8,
+            &[(100, 2, 10.0 + PLAN_EPS / 2.0), (101, 3, 5.0)],
+            vec![
+                queued(0, 8, 50.0),
+                queued(1, 1, 20.0),
+                queued(2, 4, 5.0),
+                queued(3, 2, 10.0),
+            ],
+        );
+        let mut tl = ReservationTimeline::new();
+        start_at(&mut tl, &mut rig, 0.0, 3);
+        let ctx = rig.ctx(0.0);
+        assert_eq!(tl.begin_pass(&ctx), 0);
+        plan_all_checked(&mut tl, &ctx);
+        let mut fresh = AvailabilityProfile::from_context(&ctx);
+        fresh.reserve(10.0 + PLAN_EPS / 2.0, 50.0, 8);
+        assert_eq!(fresh.earliest_fit(0.0, 1, 20.0), 10.0, "job 1 moved");
+    }
+
+    #[test]
+    fn release_at_the_same_instant_blocks_the_start_resume() {
+        let mut rig = rig(
+            8,
+            &[(100, 6, 100.0), (101, 1, 5.0)],
+            vec![queued(0, 8, 50.0), queued(1, 1, 30.0)],
+        );
+        let mut tl = ReservationTimeline::new();
+        start_at(&mut tl, &mut rig, 0.0, 1);
+        rig.cluster.release(JobId(101)).unwrap();
+        rig.running.remove(&JobId(101));
+        let ctx = rig.ctx(0.0);
+        assert_eq!(tl.begin_pass(&ctx), 0, "stamp two versions on must rebuild");
+        plan_all_checked(&mut tl, &ctx);
+    }
+
+    #[test]
+    fn changed_queue_prefix_blocks_the_start_resume() {
+        let mut rig = rig(
+            8,
+            &[(100, 6, 100.0)],
+            vec![queued(0, 8, 50.0), queued(1, 2, 30.0)],
+        );
+        let mut tl = ReservationTimeline::new();
+        start_at(&mut tl, &mut rig, 0.0, 1);
+        rig.queue.insert(0, queued(7, 1, 20.0));
+        let ctx = rig.ctx(0.0);
+        assert_eq!(tl.begin_pass(&ctx), 0);
+        plan_all_checked(&mut tl, &ctx);
+    }
+
+    #[test]
+    fn submit_resumes_past_a_job_no_wider_than_the_anchor_level() {
+        // 2 nodes free now, all 4 from t=1000. Job 0 plans at 1000; job 1
+        // (2 nodes, as many as are free now) fails its now candidate on
+        // job 0's reservation and plans at 1100. A job submitted at t=5
+        // finds no breakpoint in (0, 5 + ε], so planning resumes after
+        // both.
+        let rig = rig(
+            4,
+            &[(100, 2, 1_000.0)],
+            vec![
+                queued(0, 4, 100.0),
+                queued(1, 2, 2_000.0),
+                queued(2, 1, 5.0),
+            ],
+        );
+        let mut tl = ReservationTimeline::new();
+        assert_eq!(pass(&mut tl, &rig.ctx_prefix(0.0, 2)), (0, None));
+        assert_eq!(tl.steps()[0].1, 2, "anchor level equals job 1's width");
+        let ctx = rig.ctx(5.0);
+        assert_eq!(tl.begin_pass(&ctx), 2);
+        plan_rest_checked(&mut tl, &ctx, 2);
     }
 }

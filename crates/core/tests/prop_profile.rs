@@ -6,7 +6,9 @@
 //! decision — leave step-for-step identical reservation steps. Campaign
 //! variants cover the invalidation sources the timeline must survive:
 //! releases, walltime kills (lying estimates), and failure-driven
-//! requeues.
+//! requeues, plus a grid-aligned workload whose breakpoints coincide or
+//! lie within `PLAN_EPS` of each other, where the timeline's resume
+//! guards decide.
 
 use nodeshare_cluster::{ClusterSpec, JobId, NodeSpec};
 use nodeshare_core::util::{pick_exclusive, AvailabilityProfile, PLAN_EPS};
@@ -86,9 +88,9 @@ struct RawJob {
     nodes: u32,
     runtime: f64,
     submit_gap: f64,
-    /// Estimate multiplier; < 1 produces lying estimates and walltime
-    /// kills, exercising kill-driven profile invalidation.
-    est_factor: f64,
+    /// Walltime estimate; below `runtime` it is a lying estimate and the
+    /// job is killed, exercising kill-driven profile invalidation.
+    estimate: f64,
 }
 
 fn raw_job() -> impl Strategy<Value = RawJob> {
@@ -97,9 +99,31 @@ fn raw_job() -> impl Strategy<Value = RawJob> {
             nodes,
             runtime,
             submit_gap,
-            est_factor,
+            estimate: (runtime * est_factor).max(1.0),
         },
     )
+}
+
+/// Submit gaps, runtimes and estimates on a 10 s grid, with some gaps
+/// and estimates shifted by ±`PLAN_EPS`/2 off it: estimated ends then
+/// coincide with each other and with planned starts, or land within
+/// `PLAN_EPS` of them.
+fn grid_job() -> impl Strategy<Value = RawJob> {
+    const SHIFT: [f64; 4] = [0.0, 0.0, PLAN_EPS / 2.0, -PLAN_EPS / 2.0];
+    (
+        1u32..=NODES,
+        1u32..30,
+        0u32..12,
+        1u32..45,
+        0usize..4,
+        0usize..3,
+    )
+        .prop_map(|(nodes, runtime, gap, est, est_shift, gap_shift)| RawJob {
+            nodes,
+            runtime: 10.0 * runtime as f64,
+            submit_gap: 10.0 * gap as f64 + SHIFT[gap_shift],
+            estimate: 10.0 * est as f64 + SHIFT[est_shift],
+        })
 }
 
 fn build_workload(raw: Vec<RawJob>) -> Workload {
@@ -116,7 +140,7 @@ fn build_workload(raw: Vec<RawJob>) -> Workload {
                 nodes: r.nodes,
                 submit: t,
                 runtime_exclusive: r.runtime,
-                walltime_estimate: (r.runtime * r.est_factor).max(1.0),
+                walltime_estimate: r.estimate,
                 mem_per_node_mib: 64,
                 share_eligible: false,
                 user: 0,
@@ -169,6 +193,30 @@ proptest! {
             repair_time: 120.0,
             seed: fseed,
         });
+        let workload = build_workload(raw);
+        let mut checked = ProfileChecked::new();
+        let out = run(&workload, &matrix, &mut checked, &config);
+        prop_assert!(checked.passes > 0);
+        let mut plain = Conservative::new();
+        let out_plain = run(&workload, &matrix, &mut plain, &config);
+        prop_assert!(out == out_plain);
+    }
+}
+
+proptest! {
+    // More cases than above: the guards it exercises fire only when a
+    // start or submit meets a near-coincident breakpoint.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Coincident and within-ε breakpoints: on a 10 s grid the resume
+    /// after a start and after a submit meet equal-time releases, starts
+    /// at the edge of the fit-now window, and ends just before another
+    /// breakpoint, and must still agree with the rebuild at every pass.
+    #[test]
+    fn incremental_profile_matches_rebuild_on_a_grid(
+        raw in prop::collection::vec(grid_job(), 1..30),
+    ) {
+        let (matrix, config) = world();
         let workload = build_workload(raw);
         let mut checked = ProfileChecked::new();
         let out = run(&workload, &matrix, &mut checked, &config);
