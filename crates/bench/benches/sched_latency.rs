@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nodeshare_bench::World;
 use nodeshare_cluster::{Cluster, JobId, NodeId};
-use nodeshare_core::{Backfill, Conservative, Pairing, PairingPolicy};
+use nodeshare_core::{reference, Backfill, Conservative, Pairing, PairingPolicy};
 use nodeshare_engine::{RunningSummary, SchedContext, Scheduler};
 use nodeshare_perf::{AppId, Predictor};
 use nodeshare_workload::JobSpec;
@@ -107,7 +107,7 @@ fn bench_decision_latency(c: &mut Criterion) {
                     PairingPolicy::default_threshold(),
                     Predictor::class_based(&world.catalog, &world.model),
                 );
-                let mut sched = Backfill::co(pairing).reference();
+                let mut sched = reference::Backfill::co(pairing);
                 b.iter(|| black_box(sched.schedule(&ctx())));
             },
         );
@@ -134,7 +134,7 @@ fn bench_decision_latency(c: &mut Criterion) {
             BenchmarkId::new("conservative_reference", depth),
             &depth,
             |b, _| {
-                let mut sched = Conservative::new().reference();
+                let mut sched = reference::Conservative::new();
                 b.iter(|| black_box(sched.schedule(&ctx())));
             },
         );

@@ -31,8 +31,10 @@
 //!   strategy/mode/jobs/nodes/reps) regresses below the baseline's
 //!   statistical bound, or when a baseline campaign of the current run's
 //!   mode is missing from the fresh run entirely (a silently dropped
-//!   campaign must not pass the gate). A malformed baseline entry is an
-//!   error naming its index, never skipped.
+//!   campaign must not pass the gate). The baseline is read before any
+//!   timing: an unreadable file, or a malformed entry (named by its
+//!   index, never skipped), is a usage error. So is an `--out` naming the
+//!   same file as `--check`, which would overwrite the baseline.
 //! * `--reference` — time the retained pre-optimization scheduler
 //!   implementations instead (see `StrategyConfig::build_reference`), so
 //!   the fast-path speedup can be measured on one build.
@@ -719,6 +721,29 @@ fn main() {
         }
     }
 
+    // Read the baseline before timing anything: a bad file fails in
+    // milliseconds, and the fresh run can never overwrite the file it is
+    // about to be judged against.
+    let baseline = check_path.map(|path| {
+        let same_file = match (
+            std::fs::canonicalize(&path),
+            std::fs::canonicalize(&out_path),
+        ) {
+            (Ok(check), Ok(out)) => check == out,
+            _ => path == out_path,
+        };
+        if same_file {
+            usage_error(&format!(
+                "--out {out_path} is the --check baseline; write the fresh run elsewhere"
+            ));
+        }
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| usage_error(&format!("cannot read baseline {path}: {e}")));
+        let entries = parse_baseline(&text)
+            .unwrap_or_else(|e| usage_error(&format!("malformed baseline {path}: {e}")));
+        (path, entries)
+    });
+
     let world = World::evaluation();
     let mut entries = measure(&world, quick, reps, reference, samples_n, only.as_deref());
     if campaign {
@@ -750,11 +775,7 @@ fn main() {
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     println!("wrote {out_path}");
 
-    if let Some(path) = check_path {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        let baseline =
-            parse_baseline(&text).unwrap_or_else(|e| panic!("malformed baseline {path}: {e}"));
+    if let Some((path, baseline)) = baseline {
         let failures = check_against(&entries, &baseline);
         if !failures.is_empty() {
             for f in &failures {

@@ -1,7 +1,9 @@
 //! Adaptive width-malleable scheduling: EASY backfill plus reshape.
 //!
-//! Wraps [`Backfill::easy`] and adds two reshape behaviors for running
-//! *exclusive* jobs with a non-rigid [`Malleability`] contract:
+//! Wraps [`Backfill::easy`] (or, through [`Adaptive::over`], any EASY
+//! core such as the [`crate::reference::Backfill`] oracle) and adds two
+//! reshape behaviors for running *exclusive* jobs with a non-rigid
+//! [`Malleability`] contract:
 //!
 //! * **Shrink to admit.** When the inner policy can start nothing and
 //!   the queue is non-empty, shrink running malleable jobs toward their
@@ -30,26 +32,22 @@ use nodeshare_workload::JobSpec;
 
 /// EASY backfill with width-malleability: shrinks running malleable jobs
 /// to admit a blocked queue head, re-grows them when the queue drains.
-pub struct Adaptive {
-    inner: Backfill,
+pub struct Adaptive<B: Scheduler = Backfill> {
+    inner: B,
 }
 
 impl Adaptive {
     /// The adaptive policy over the optimized EASY backfill core.
     pub fn new() -> Adaptive {
-        Adaptive {
-            inner: Backfill::easy(),
-        }
+        Adaptive::over(Backfill::easy())
     }
+}
 
-    /// Switches the inner backfill to its pre-optimization reference
-    /// implementation (see [`Backfill::reference`]); the reshape logic
-    /// is identical.
-    #[must_use]
-    pub fn reference(self) -> Adaptive {
-        Adaptive {
-            inner: self.inner.reference(),
-        }
+impl<B: Scheduler> Adaptive<B> {
+    /// The adaptive policy over the given EASY core; the reshape logic
+    /// is the same whatever the core.
+    pub fn over(inner: B) -> Adaptive<B> {
+        Adaptive { inner }
     }
 
     /// The nodes `job` currently holds, in grant order.
@@ -179,7 +177,7 @@ impl Default for Adaptive {
     }
 }
 
-impl Scheduler for Adaptive {
+impl<B: Scheduler> Scheduler for Adaptive<B> {
     fn name(&self) -> &'static str {
         "adaptive"
     }

@@ -20,15 +20,13 @@
 //! therefore covers shared placements exactly as it covers exclusive
 //! ones — the property test in `tests/prop_policies.rs` checks it.
 //!
-//! Two implementations coexist: the optimized hot path (default), which
-//! plans against the incremental [`Planner`] caches, and the original
-//! straight-line reference, kept behind [`Backfill::reference`] so the
-//! differential tests can hold the optimized path to bit-identical
-//! outcomes.
+//! The scheduler plans against the incremental [`Planner`] caches.
+//! [`crate::reference::Backfill`] is the straight-line oracle that
+//! `tests/differential.rs` holds it to, decision for decision.
 
 use crate::pairing::Pairing;
 use crate::planner::Planner;
-use crate::util::{pick_exclusive, pick_shared, HeadReservation, PLAN_EPS};
+use crate::util::PLAN_EPS;
 use nodeshare_engine::{Decision, SchedContext, Scheduler};
 
 /// EASY backfill, optionally co-allocation-aware.
@@ -39,7 +37,6 @@ pub struct Backfill {
     /// behavior; disable to share only via backfill).
     share_head: bool,
     planner: Planner,
-    reference: bool,
 }
 
 impl Backfill {
@@ -48,7 +45,6 @@ impl Backfill {
             planner: Planner::new(&pairing),
             pairing,
             share_head,
-            reference: false,
         }
     }
 
@@ -68,34 +64,19 @@ impl Backfill {
         Backfill::new(pairing, false)
     }
 
-    /// Switches to the pre-optimization reference implementation (the
-    /// straight-line pickers in [`crate::util`]). Slower but obviously
-    /// correct; the differential tests compare the optimized default
-    /// against it decision for decision.
-    pub fn reference(mut self) -> Self {
-        self.reference = true;
-        self
-    }
-
-    /// The pairing in use.
-    pub fn pairing(&self) -> &Pairing {
-        &self.pairing
-    }
-
-    /// The optimized backfill candidate scan, the scheduler's hottest path
-    /// (it runs ~10^8 iterations in a saturated campaign; see the
-    /// `sched_latency` benches). It takes the planner's memoized and
-    /// bounded early exits whether or not telemetry is attached: those
-    /// shortcuts return the reference's decisions exactly, and the scan
-    /// counters record where the scan stopped, not how much work it took
-    /// to get there.
-    fn scan_fast(&mut self, ctx: &SchedContext<'_>, sharing: bool) -> Vec<Decision> {
+    /// The backfill candidate scan, the scheduler's hottest path (it runs
+    /// ~10^8 iterations in a saturated campaign; see the `sched_latency`
+    /// benches). It takes the planner's memoized and bounded early exits
+    /// whether or not telemetry is attached: those shortcuts return the
+    /// reference's decisions exactly, and the scan counters record where
+    /// the scan stopped, not how much work it took to get there.
+    fn scan(&mut self, ctx: &SchedContext<'_>, sharing: bool) -> Vec<Decision> {
         let candidates = &ctx.queue[1..];
         if ctx.cluster.idle_count() == 0 && (!sharing || self.planner.eligible_partial_count() == 0)
         {
             // No idle node and no shareable lane: every candidate fails,
             // so the full scan would stop at the end of the queue.
-            Self::record_backfill(ctx, candidates.len(), false);
+            record_backfill(ctx, candidates.len(), false);
             return Vec::new();
         }
         let shadow = self.planner.shadow();
@@ -115,22 +96,47 @@ impl Backfill {
                             .pick_shared(ctx, job, &self.pairing, restricted)
                     });
                 if let Some(nodes) = nodes {
-                    Self::record_backfill(ctx, i + 1, true);
+                    record_backfill(ctx, i + 1, true);
                     return vec![Decision::StartShared { job: job.id, nodes }];
                 }
             } else {
                 let restricted = !excl_fits;
                 if let Some(nodes) = self.planner.pick_exclusive(ctx, job, restricted) {
-                    Self::record_backfill(ctx, i + 1, true);
+                    record_backfill(ctx, i + 1, true);
                     return vec![Decision::StartExclusive { job: job.id, nodes }];
                 }
             }
         }
-        Self::record_backfill(ctx, candidates.len(), false);
+        record_backfill(ctx, candidates.len(), false);
         Vec::new()
     }
+}
 
-    fn schedule_fast(&mut self, ctx: &SchedContext<'_>) -> Vec<Decision> {
+/// Records the counters for one backfill pass that stopped at candidate
+/// position `scanned` (1-based behind the head; the queue length minus
+/// one when no candidate started) and did (`started`) or did not start
+/// one. Shared with [`crate::reference::Backfill`], so the two count
+/// alike by construction.
+pub(crate) fn record_backfill(ctx: &SchedContext<'_>, scanned: usize, started: bool) {
+    if let Some(t) = ctx.telemetry {
+        t.backfill_scanned.add(scanned as u64);
+        t.backfill_scan_depth.observe(scanned as f64);
+        if started {
+            t.backfill_started.inc();
+        }
+    }
+}
+
+impl Scheduler for Backfill {
+    fn name(&self) -> &'static str {
+        if self.pairing.sharing_enabled() {
+            "co-backfill"
+        } else {
+            "easy-backfill"
+        }
+    }
+
+    fn schedule(&mut self, ctx: &SchedContext<'_>) -> Vec<Decision> {
         let Some(head) = ctx.queue.first() else {
             return Vec::new();
         };
@@ -141,8 +147,9 @@ impl Backfill {
         let sharing = self.pairing.sharing_enabled();
         self.planner.begin_pass(ctx);
 
-        // 1. Start the head if it fits now (see `schedule_reference` for
-        // the policy rationale; the logic is identical).
+        // 1. Start the head if it fits now: idle nodes first (running
+        // alone beats co-running), then, for CoBackfill, compatible lanes
+        // (see `reference::Backfill::schedule` for the rationale).
         if let Some(nodes) = self.planner.pick_exclusive(ctx, head, false) {
             if let Some(t) = ctx.telemetry {
                 t.head_started.inc();
@@ -173,123 +180,7 @@ impl Backfill {
 
         // 2. Reserve for the head, then backfill behind the reservation.
         self.planner.compute_reservation(ctx, head.nodes as usize);
-        self.scan_fast(ctx, sharing)
-    }
-
-    /// The pre-optimization candidate scan (reference implementation).
-    fn scan_reference(
-        &self,
-        ctx: &SchedContext<'_>,
-        reservation: &HeadReservation,
-        sharing: bool,
-    ) -> Vec<Decision> {
-        let candidates = &ctx.queue[1..];
-        for (i, job) in candidates.iter().enumerate() {
-            let excl_end = ctx.now + job.walltime_estimate;
-            let shared_end = ctx.now + job.walltime_estimate * ctx.shared_grace.max(1.0);
-            let excl_fits = excl_end <= reservation.shadow + PLAN_EPS;
-            let shared_fits = shared_end <= reservation.shadow + PLAN_EPS;
-            let allowed_excl = |n| excl_fits || !reservation.nodes.contains(&n);
-            let allowed_shared = |n| shared_fits || !reservation.nodes.contains(&n);
-
-            if sharing && job.share_eligible {
-                let nodes = pick_exclusive(ctx, job, allowed_shared)
-                    .or_else(|| pick_shared(ctx, job, &self.pairing, allowed_shared));
-                if let Some(nodes) = nodes {
-                    Self::record_backfill(ctx, i + 1, true);
-                    return vec![Decision::StartShared { job: job.id, nodes }];
-                }
-            } else if let Some(nodes) = pick_exclusive(ctx, job, allowed_excl) {
-                Self::record_backfill(ctx, i + 1, true);
-                return vec![Decision::StartExclusive { job: job.id, nodes }];
-            }
-        }
-        Self::record_backfill(ctx, candidates.len(), false);
-        Vec::new()
-    }
-
-    fn schedule_reference(&mut self, ctx: &SchedContext<'_>) -> Vec<Decision> {
-        let Some(head) = ctx.queue.first() else {
-            return Vec::new();
-        };
-        // Same phase span as the fast path, so the two report
-        // comparable placement-scan wall time.
-        let _placement_span = ctx.telemetry.map(|t| t.time_placement());
-
-        let sharing = self.pairing.sharing_enabled();
-
-        // 1. Start the head if it fits now. Idle capacity first — running
-        // alone always beats co-running. Share-eligible jobs still start
-        // in shared (single-lane) mode so the second lane stays open for
-        // later partners. When idle nodes are short, a share-eligible
-        // head may instead co-allocate onto compatible lanes (CoBackfill
-        // behavior), so the head no longer waits for whole idle nodes.
-        if let Some(nodes) = pick_exclusive(ctx, head, |_| true) {
-            if let Some(t) = ctx.telemetry {
-                t.head_started.inc();
-            }
-            return if sharing && head.share_eligible {
-                vec![Decision::StartShared {
-                    job: head.id,
-                    nodes,
-                }]
-            } else {
-                vec![Decision::StartExclusive {
-                    job: head.id,
-                    nodes,
-                }]
-            };
-        }
-        if self.share_head && sharing && head.share_eligible {
-            if let Some(nodes) = pick_shared(ctx, head, &self.pairing, |_| true) {
-                if let Some(t) = ctx.telemetry {
-                    t.head_started.inc();
-                }
-                return vec![Decision::StartShared {
-                    job: head.id,
-                    nodes,
-                }];
-            }
-        }
-
-        // 2. Reserve for the head, then backfill behind the reservation.
-        // A candidate's occupancy bound depends on how it would start:
-        // shared-mode jobs receive the walltime grace, so their lanes may
-        // be held longer — the shadow test must use the padded bound.
-        let reservation = HeadReservation::compute(ctx, head.nodes as usize);
-        self.scan_reference(ctx, &reservation, sharing)
-    }
-
-    /// Records the counters for one backfill pass that stopped at
-    /// candidate position `scanned` (1-based behind the head; the queue
-    /// length minus one when no candidate started) and did (`started`) or
-    /// did not start one.
-    fn record_backfill(ctx: &SchedContext<'_>, scanned: usize, started: bool) {
-        if let Some(t) = ctx.telemetry {
-            t.backfill_scanned.add(scanned as u64);
-            t.backfill_scan_depth.observe(scanned as f64);
-            if started {
-                t.backfill_started.inc();
-            }
-        }
-    }
-}
-
-impl Scheduler for Backfill {
-    fn name(&self) -> &'static str {
-        if self.pairing.sharing_enabled() {
-            "co-backfill"
-        } else {
-            "easy-backfill"
-        }
-    }
-
-    fn schedule(&mut self, ctx: &SchedContext<'_>) -> Vec<Decision> {
-        if self.reference {
-            self.schedule_reference(ctx)
-        } else {
-            self.schedule_fast(ctx)
-        }
+        self.scan(ctx, sharing)
     }
 }
 
@@ -297,6 +188,7 @@ impl Scheduler for Backfill {
 mod tests {
     use super::*;
     use crate::pairing::PairingPolicy;
+    use crate::reference;
     use crate::testkit::{self, job, job_app, oracle};
 
     fn co_backfill() -> Backfill {
@@ -463,7 +355,13 @@ mod tests {
             .collect();
         let world = testkit::world(4, jobs);
         let fast = testkit::simulate(&world, &mut co_backfill());
-        let refr = testkit::simulate(&world, &mut co_backfill().reference());
+        let refr = testkit::simulate(
+            &world,
+            &mut reference::Backfill::co(Pairing::new(
+                PairingPolicy::default_threshold(),
+                oracle(),
+            )),
+        );
         assert_eq!(fast.records, refr.records);
     }
 

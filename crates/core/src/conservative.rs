@@ -7,20 +7,16 @@
 //! slot is "now" actually starts. Exclusive allocation only — the paper
 //! uses it as a second baseline.
 //!
-//! Two implementations share this module, the same split as
-//! [`crate::Backfill`]:
-//!
-//! * the optimized path plans against an incrementally maintained
-//!   [`ReservationTimeline`] (version-keyed base, in-place reservation
-//!   splicing, cross-pass prefix cache) and places via the planner's
-//!   O(k) exclusive picker;
-//! * [`Conservative::reference`] keeps the original from-scratch
-//!   [`AvailabilityProfile`] loop, the oracle `tests/differential.rs`
-//!   holds the optimized path byte-equal to.
+//! The scheduler plans against an incrementally maintained
+//! [`ReservationTimeline`] (version-keyed base, in-place reservation
+//! splicing, cross-pass prefix cache) and places via the planner's O(k)
+//! exclusive picker. [`crate::reference::Conservative`], the original
+//! from-scratch [`crate::AvailabilityProfile`] loop, is the oracle
+//! `tests/differential.rs` holds it byte-equal to.
 
 use crate::pairing::Pairing;
 use crate::planner::{Planner, ReservationTimeline};
-use crate::util::{pick_exclusive, AvailabilityProfile, PLAN_EPS};
+use crate::util::PLAN_EPS;
 use nodeshare_engine::{Decision, SchedContext, Scheduler};
 
 /// Conservative backfill with exclusive allocation.
@@ -28,32 +24,23 @@ use nodeshare_engine::{Decision, SchedContext, Scheduler};
 pub struct Conservative {
     planner: Planner,
     timeline: ReservationTimeline,
-    reference: bool,
     /// Pending one-shot profile corruption (fault-injection tests).
     poison: Option<i64>,
 }
 
 impl Conservative {
-    /// Creates the policy (optimized path).
+    /// Creates the policy.
     pub fn new() -> Self {
         Conservative {
             planner: Planner::new(&Pairing::never()),
             timeline: ReservationTimeline::new(),
-            reference: false,
             poison: None,
         }
     }
 
-    /// Switches to the unoptimized reference implementation — the
-    /// differential oracle the fast path is tested against.
-    pub fn reference(mut self) -> Self {
-        self.reference = true;
-        self
-    }
-
     /// Arms a one-shot corruption of the incremental profile's anchor
     /// entry (`free -= delta` at the next pass), for the audit
-    /// fault-injection tests. No effect in reference mode.
+    /// fault-injection tests.
     #[doc(hidden)]
     pub fn corrupt_next_pass(&mut self, delta: i64) {
         self.poison = Some(delta);
@@ -65,8 +52,20 @@ impl Conservative {
     pub fn profile_steps(&self) -> &[(f64, i64)] {
         self.timeline.steps()
     }
+}
 
-    fn schedule_fast(&mut self, ctx: &SchedContext<'_>) -> Vec<Decision> {
+impl Default for Conservative {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Scheduler for Conservative {
+    fn name(&self) -> &'static str {
+        "conservative-backfill"
+    }
+
+    fn schedule(&mut self, ctx: &SchedContext<'_>) -> Vec<Decision> {
         // Wall-clock phase span over the timeline-maintenance pass
         // (profile splice/rebuild + plan/reserve loop); observes on drop.
         let _timeline_span = ctx.telemetry.map(|t| t.time_timeline());
@@ -94,50 +93,12 @@ impl Conservative {
         self.timeline.seal();
         Vec::new()
     }
-
-    fn schedule_reference(&mut self, ctx: &SchedContext<'_>) -> Vec<Decision> {
-        // Same phase span as the fast path: the from-scratch profile
-        // build is exactly the maintenance the incremental path avoids.
-        let _timeline_span = ctx.telemetry.map(|t| t.time_timeline());
-        let mut profile = AvailabilityProfile::from_context(ctx);
-        for job in ctx.queue {
-            let start = profile.earliest_fit(ctx.now, job.nodes as i64, job.walltime_estimate);
-            if start <= ctx.now + PLAN_EPS {
-                if let Some(nodes) = pick_exclusive(ctx, job, |_| true) {
-                    return vec![Decision::StartExclusive { job: job.id, nodes }];
-                }
-            }
-            if start.is_finite() {
-                profile.reserve(start, job.walltime_estimate, job.nodes as i64);
-            }
-        }
-        Vec::new()
-    }
-}
-
-impl Default for Conservative {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Scheduler for Conservative {
-    fn name(&self) -> &'static str {
-        "conservative-backfill"
-    }
-
-    fn schedule(&mut self, ctx: &SchedContext<'_>) -> Vec<Decision> {
-        if self.reference {
-            self.schedule_reference(ctx)
-        } else {
-            self.schedule_fast(ctx)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
     use crate::testkit::{self, job};
 
     #[test]
@@ -219,7 +180,7 @@ mod tests {
         };
         let world = testkit::world(4, jobs());
         let fast = testkit::simulate(&world, &mut Conservative::new());
-        let refr = testkit::simulate(&world, &mut Conservative::new().reference());
+        let refr = testkit::simulate(&world, &mut reference::Conservative::new());
         assert!(fast.complete() && refr.complete());
         assert_eq!(fast.records, refr.records);
     }

@@ -12,13 +12,12 @@
 //! exclusive placement as the fallback for jobs that did not opt in or
 //! found no partners.
 //!
-//! Like [`crate::Backfill`], the default path plans against the
-//! incremental [`Planner`] caches; [`FirstFit::reference`] keeps the
-//! original implementation for the differential tests.
+//! Like [`crate::Backfill`], the scheduler plans against the incremental
+//! [`Planner`] caches; [`crate::reference::FirstFit`] is the oracle the
+//! differential tests compare it with.
 
 use crate::pairing::Pairing;
 use crate::planner::Planner;
-use crate::util::{pick_exclusive, pick_shared};
 use nodeshare_engine::{Decision, SchedContext, Scheduler};
 
 /// First-fit over the queue, optionally co-allocation-aware.
@@ -26,7 +25,6 @@ use nodeshare_engine::{Decision, SchedContext, Scheduler};
 pub struct FirstFit {
     pairing: Pairing,
     planner: Planner,
-    reference: bool,
 }
 
 impl FirstFit {
@@ -44,23 +42,20 @@ impl FirstFit {
         FirstFit {
             planner: Planner::new(&pairing),
             pairing,
-            reference: false,
+        }
+    }
+}
+
+impl Scheduler for FirstFit {
+    fn name(&self) -> &'static str {
+        if self.pairing.sharing_enabled() {
+            "co-first-fit"
+        } else {
+            "first-fit"
         }
     }
 
-    /// Switches to the pre-optimization reference implementation; see
-    /// [`crate::Backfill::reference`].
-    pub fn reference(mut self) -> Self {
-        self.reference = true;
-        self
-    }
-
-    /// The pairing in use.
-    pub fn pairing(&self) -> &Pairing {
-        &self.pairing
-    }
-
-    fn schedule_fast(&mut self, ctx: &SchedContext<'_>) -> Vec<Decision> {
+    fn schedule(&mut self, ctx: &SchedContext<'_>) -> Vec<Decision> {
         // Wall-clock phase span over the placement scan; observes on drop.
         let _placement_span = ctx.telemetry.map(|t| t.time_placement());
         let sharing = self.pairing.sharing_enabled();
@@ -87,56 +82,13 @@ impl FirstFit {
         }
         Vec::new()
     }
-
-    fn schedule_reference(&mut self, ctx: &SchedContext<'_>) -> Vec<Decision> {
-        // Same phase span as the fast path.
-        let _placement_span = ctx.telemetry.map(|t| t.time_placement());
-        let sharing = self.pairing.sharing_enabled();
-        for job in ctx.queue {
-            // Idle capacity first: sharing never beats running alone.
-            // Share-eligible jobs still start in shared (single-lane)
-            // mode so their second lane stays open for later partners.
-            if let Some(nodes) = pick_exclusive(ctx, job, |_| true) {
-                return if sharing && job.share_eligible {
-                    vec![Decision::StartShared { job: job.id, nodes }]
-                } else {
-                    vec![Decision::StartExclusive { job: job.id, nodes }]
-                };
-            }
-            // No idle capacity for this job: co-allocate onto compatible
-            // lanes when the predicted net throughput gain is positive.
-            if sharing && job.share_eligible {
-                if let Some(nodes) = pick_shared(ctx, job, &self.pairing, |_| true) {
-                    return vec![Decision::StartShared { job: job.id, nodes }];
-                }
-            }
-        }
-        Vec::new()
-    }
-}
-
-impl Scheduler for FirstFit {
-    fn name(&self) -> &'static str {
-        if self.pairing.sharing_enabled() {
-            "co-first-fit"
-        } else {
-            "first-fit"
-        }
-    }
-
-    fn schedule(&mut self, ctx: &SchedContext<'_>) -> Vec<Decision> {
-        if self.reference {
-            self.schedule_reference(ctx)
-        } else {
-            self.schedule_fast(ctx)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pairing::PairingPolicy;
+    use crate::reference;
     use crate::testkit::{self, job, job_app, oracle};
 
     fn co_first_fit() -> FirstFit {
@@ -222,7 +174,13 @@ mod tests {
             .collect();
         let world = testkit::world(3, jobs);
         let fast = testkit::simulate(&world, &mut co_first_fit());
-        let refr = testkit::simulate(&world, &mut co_first_fit().reference());
+        let refr = testkit::simulate(
+            &world,
+            &mut reference::FirstFit::sharing(Pairing::new(
+                PairingPolicy::default_threshold(),
+                oracle(),
+            )),
+        );
         assert_eq!(fast.records, refr.records);
     }
 

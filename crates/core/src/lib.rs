@@ -25,7 +25,9 @@
 //!   by a [`nodeshare_perf::Predictor`].
 //!
 //! [`StrategyConfig`] gives the experiment harness a declarative way to
-//! enumerate and build all of them.
+//! enumerate and build all of them. The optimized strategies each have a
+//! straight-line oracle in [`reference`], which the differential tests
+//! hold them to.
 //!
 //! ```
 //! use nodeshare_core::{Backfill, Pairing, PairingPolicy};
@@ -49,6 +51,7 @@ pub mod learning;
 pub mod pairing;
 pub mod pairtab;
 pub mod planner;
+pub mod reference;
 pub mod strategy;
 pub mod util;
 

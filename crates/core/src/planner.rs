@@ -546,7 +546,7 @@ fn update_partner(buf: &mut Vec<(JobId, u32, f64)>, r: &Resident, rate: f64) {
 /// `crates/core/tests/prop_profile.rs` checks the timeline step-for-step
 /// against a from-scratch rebuild at every decision point of randomized
 /// campaigns, and `tests/differential.rs` holds the full strategy to
-/// byte-equal traces against [`crate::Conservative::reference`].
+/// byte-equal traces against [`crate::reference::Conservative`].
 #[derive(Clone, Debug, Default)]
 pub struct ReservationTimeline {
     /// Cluster stamp the `ends` cache was built for.

@@ -8,6 +8,7 @@ use crate::fcfs::Fcfs;
 use crate::firstfit::FirstFit;
 use crate::learning::EstimateLearning;
 use crate::pairing::{Pairing, PairingPolicy};
+use crate::reference;
 use nodeshare_engine::Scheduler;
 use nodeshare_perf::{AppCatalog, ContentionModel, Predictor};
 use serde::{Deserialize, Serialize};
@@ -172,8 +173,8 @@ impl StrategyConfig {
         })
     }
 
-    /// Instantiates the pre-optimization reference implementation of the
-    /// scheduler (see [`Backfill::reference`]) — the oracle the
+    /// Instantiates the scheduler's reference oracle (see
+    /// [`crate::reference`]) — the pre-optimization implementation the
     /// differential tests compare the optimized default against.
     /// Strategies without an optimized fast path build identically.
     pub fn build_reference(
@@ -184,15 +185,15 @@ impl StrategyConfig {
         let pairing = || self.build_pairing(catalog, model);
         self.wrap(match self.kind {
             StrategyKind::Fcfs => Box::new(Fcfs::new()),
-            StrategyKind::FirstFit => Box::new(FirstFit::exclusive().reference()),
-            StrategyKind::EasyBackfill => Box::new(Backfill::easy().reference()),
-            StrategyKind::Conservative => Box::new(Conservative::new().reference()),
-            StrategyKind::CoFirstFit => Box::new(FirstFit::sharing(pairing()).reference()),
-            StrategyKind::CoBackfill => Box::new(Backfill::co(pairing()).reference()),
+            StrategyKind::FirstFit => Box::new(reference::FirstFit::exclusive()),
+            StrategyKind::EasyBackfill => Box::new(reference::Backfill::easy()),
+            StrategyKind::Conservative => Box::new(reference::Conservative::new()),
+            StrategyKind::CoFirstFit => Box::new(reference::FirstFit::sharing(pairing())),
+            StrategyKind::CoBackfill => Box::new(reference::Backfill::co(pairing())),
             StrategyKind::CoBackfillOnly => {
-                Box::new(Backfill::co_backfill_only(pairing()).reference())
+                Box::new(reference::Backfill::co_backfill_only(pairing()))
             }
-            StrategyKind::Adaptive => Box::new(Adaptive::new().reference()),
+            StrategyKind::Adaptive => Box::new(Adaptive::over(reference::Backfill::easy())),
         })
     }
 

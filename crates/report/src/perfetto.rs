@@ -18,9 +18,10 @@
 //! (the trace-event `ts` unit); events are emitted time-sorted as the
 //! format requires.
 
-use nodeshare_cluster::ShareMode;
+use nodeshare_cluster::{NodeId, ShareMode};
 use nodeshare_engine::json::escape;
 use nodeshare_engine::{DecisionTrace, TraceEvent};
+use nodeshare_metrics::StepSeries;
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -35,11 +36,10 @@ fn lane_tid(node: u64, lane: usize) -> u64 {
     node * LANE_STRIDE + lane as u64 + 1
 }
 
-/// `(ts, seq, json)` triples the renderer accumulates before the final
-/// time-sort; metadata sorts first via `ts = i64::MIN`.
-type EventBuf = Vec<(i64, usize, String)>;
-/// Appender over an [`EventBuf`] that stamps the insertion sequence.
-type PushFn<'a> = dyn FnMut(&mut EventBuf, i64, String) + 'a;
+/// `(ts, json)` pairs the renderer accumulates before the final stable
+/// time-sort (equal stamps keep emission order); metadata sorts first
+/// via `ts = i64::MIN`.
+type EventBuf = Vec<(i64, String)>;
 
 struct OpenSlice {
     node: u64,
@@ -47,6 +47,87 @@ struct OpenSlice {
     start: f64,
     shared: bool,
     reason: &'static str,
+}
+
+/// The lane replay: which job holds each lane of each node, the open
+/// slices per job (a job spans several nodes), and the name of every
+/// track used so far, by tid.
+struct Lanes {
+    held: BTreeMap<u64, Vec<Option<u64>>>,
+    open: BTreeMap<u64, Vec<OpenSlice>>,
+    tids: BTreeMap<u64, String>,
+}
+
+impl Lanes {
+    fn new() -> Lanes {
+        let mut tids = BTreeMap::new();
+        tids.insert(DECISIONS_TID, "scheduler decisions".to_string());
+        Lanes {
+            held: BTreeMap::new(),
+            open: BTreeMap::new(),
+            tids,
+        }
+    }
+
+    /// Opens one slice of `job` per node, each on the lowest free lane of
+    /// its node (a new lane when every lane is held).
+    fn occupy(
+        &mut self,
+        job: u64,
+        nodes: &[NodeId],
+        start: f64,
+        shared: bool,
+        reason: &'static str,
+    ) {
+        for node in nodes.iter().map(|n| u64::from(n.0)) {
+            let node_lanes = self.held.entry(node).or_default();
+            let lane = match node_lanes.iter().position(Option::is_none) {
+                Some(l) => {
+                    node_lanes[l] = Some(job);
+                    l
+                }
+                None => {
+                    node_lanes.push(Some(job));
+                    node_lanes.len() - 1
+                }
+            };
+            self.tids
+                .entry(lane_tid(node, lane))
+                .or_insert_with(|| format!("node {node} / lane {lane}"));
+            self.open.entry(job).or_default().push(OpenSlice {
+                node,
+                lane,
+                start,
+                shared,
+                reason,
+            });
+        }
+    }
+
+    /// Ends `job`'s open slices at `t`, emitting them, and frees their
+    /// lanes.
+    fn release(&mut self, events: &mut EventBuf, job: u64, t: f64) {
+        for slice in self.open.remove(&job).unwrap_or_default() {
+            let ts = micros(slice.start);
+            let dur = micros(t) - ts;
+            events.push((
+                ts,
+                format!(
+                    "{{\"name\":\"job {job}\",\"cat\":\"job\",\"ph\":\"X\",\"ts\":{ts},\
+                         \"dur\":{dur},\"pid\":{PID},\"tid\":{},\"args\":{{\"job\":{job},\
+                         \"mode\":\"{}\",\"reason\":\"{}\"}}}}",
+                    lane_tid(slice.node, slice.lane),
+                    if slice.shared { "shared" } else { "exclusive" },
+                    escape(slice.reason),
+                ),
+            ));
+            if let Some(node_lanes) = self.held.get_mut(&slice.node) {
+                if node_lanes.get(slice.lane).copied().flatten() == Some(job) {
+                    node_lanes[slice.lane] = None;
+                }
+            }
+        }
+    }
 }
 
 /// Converts sim-seconds to the trace-event integer microsecond unit.
@@ -57,48 +138,13 @@ fn micros(t: f64) -> i64 {
 /// Renders the Perfetto/Chrome trace-event JSON for a decision trace.
 pub fn render(trace: &DecisionTrace) -> String {
     let mut events: EventBuf = Vec::new();
-    let mut seq = 0usize;
-    let mut push = |events: &mut EventBuf, ts: i64, json: String| {
-        events.push((ts, seq, json));
-        seq += 1;
-    };
-
-    // Lane occupancy per node (job currently in each lane), and the
-    // set of open slices per job (a job spans several nodes).
-    let mut lanes: BTreeMap<u64, Vec<Option<u64>>> = BTreeMap::new();
-    let mut open: BTreeMap<u64, Vec<OpenSlice>> = BTreeMap::new();
-    let mut used_tids: BTreeMap<u64, String> = BTreeMap::new();
-    used_tids.insert(DECISIONS_TID, "scheduler decisions".to_string());
-
-    let end = trace.end_time();
-
-    let close_job = |events: &mut EventBuf,
-                     lanes: &mut BTreeMap<u64, Vec<Option<u64>>>,
-                     open: &mut BTreeMap<u64, Vec<OpenSlice>>,
-                     push: &mut PushFn<'_>,
-                     job: u64,
-                     t: f64| {
-        for slice in open.remove(&job).unwrap_or_default() {
-            let ts = micros(slice.start);
-            let dur = micros(t) - ts;
-            push(
-                events,
-                ts,
-                format!(
-                    "{{\"name\":\"job {job}\",\"cat\":\"job\",\"ph\":\"X\",\"ts\":{ts},\
-                         \"dur\":{dur},\"pid\":{PID},\"tid\":{},\"args\":{{\"job\":{job},\
-                         \"mode\":\"{}\",\"reason\":\"{}\"}}}}",
-                    lane_tid(slice.node, slice.lane),
-                    if slice.shared { "shared" } else { "exclusive" },
-                    escape(slice.reason),
-                ),
-            );
-            if let Some(node_lanes) = lanes.get_mut(&slice.node) {
-                if node_lanes.get(slice.lane).copied().flatten() == Some(job) {
-                    node_lanes[slice.lane] = None;
-                }
-            }
-        }
+    let mut lanes = Lanes::new();
+    // Jobs waiting: +1 on submit and requeue, -1 on reject and start.
+    let mut queue_depth = StepSeries::new();
+    let mut depth: i64 = 0;
+    let mut queue_step = |t: f64, delta: i64| {
+        depth += delta;
+        queue_depth.record(t, depth as f64);
     };
 
     for e in trace.events() {
@@ -111,51 +157,28 @@ pub fn render(trace: &DecisionTrace) -> String {
                 reason,
                 ..
             } => {
-                let job = &job.0;
+                let job = job.0;
                 let reason = reason.label();
                 let ts = micros(*t);
-                push(
-                    &mut events,
+                events.push((
                     ts,
                     format!(
                         "{{\"name\":\"start job {job} ({})\",\"cat\":\"decision\",\"ph\":\"i\",\
                          \"ts\":{ts},\"pid\":{PID},\"tid\":{DECISIONS_TID},\"s\":\"t\"}}",
                         escape(reason),
                     ),
-                );
-                for node in nodes.iter().map(|n| u64::from(n.0)) {
-                    let node_lanes = lanes.entry(node).or_default();
-                    let lane = match node_lanes.iter().position(Option::is_none) {
-                        Some(l) => {
-                            node_lanes[l] = Some(*job);
-                            l
-                        }
-                        None => {
-                            node_lanes.push(Some(*job));
-                            node_lanes.len() - 1
-                        }
-                    };
-                    used_tids
-                        .entry(lane_tid(node, lane))
-                        .or_insert_with(|| format!("node {node} / lane {lane}"));
-                    open.entry(*job).or_default().push(OpenSlice {
-                        node,
-                        lane,
-                        start: *t,
-                        shared: *mode == ShareMode::Shared,
-                        reason,
-                    });
-                }
+                ));
+                queue_step(*t, -1);
+                lanes.occupy(job, nodes, *t, *mode == ShareMode::Shared, reason);
             }
             TraceEvent::Reshape {
                 time: t, job, to, ..
             } => {
-                let job = &job.0;
+                let job = job.0;
                 // Close the slices on the old node set and reopen on the
                 // new one, so the track view shows the width change.
                 let ts = micros(*t);
-                push(
-                    &mut events,
+                events.push((
                     ts,
                     format!(
                         "{{\"name\":\"reshape job {job} to {} nodes\",\"cat\":\"decision\",\
@@ -163,47 +186,25 @@ pub fn render(trace: &DecisionTrace) -> String {
                          \"s\":\"t\"}}",
                         to.len(),
                     ),
-                );
-                close_job(&mut events, &mut lanes, &mut open, &mut push, *job, *t);
-                for node in to.iter().map(|n| u64::from(n.0)) {
-                    let node_lanes = lanes.entry(node).or_default();
-                    let lane = match node_lanes.iter().position(Option::is_none) {
-                        Some(l) => {
-                            node_lanes[l] = Some(*job);
-                            l
-                        }
-                        None => {
-                            node_lanes.push(Some(*job));
-                            node_lanes.len() - 1
-                        }
-                    };
-                    used_tids
-                        .entry(lane_tid(node, lane))
-                        .or_insert_with(|| format!("node {node} / lane {lane}"));
-                    open.entry(*job).or_default().push(OpenSlice {
-                        node,
-                        lane,
-                        start: *t,
-                        shared: false,
-                        reason: "reshape",
-                    });
-                }
+                ));
+                lanes.release(&mut events, job, *t);
+                lanes.occupy(job, to, *t, false, "reshape");
             }
             TraceEvent::Finished { time: t, job, .. } => {
-                close_job(&mut events, &mut lanes, &mut open, &mut push, job.0, *t);
+                lanes.release(&mut events, job.0, *t);
             }
             TraceEvent::Requeued { time: t, job, .. } => {
-                let job = &job.0;
+                let job = job.0;
                 let ts = micros(*t);
-                push(
-                    &mut events,
+                events.push((
                     ts,
                     format!(
                         "{{\"name\":\"requeue job {job}\",\"cat\":\"decision\",\"ph\":\"i\",\
                          \"ts\":{ts},\"pid\":{PID},\"tid\":{DECISIONS_TID},\"s\":\"t\"}}"
                     ),
-                );
-                close_job(&mut events, &mut lanes, &mut open, &mut push, *job, *t);
+                ));
+                lanes.release(&mut events, job, *t);
+                queue_step(*t, 1);
             }
             TraceEvent::NodeDown {
                 time: t,
@@ -213,27 +214,25 @@ pub fn render(trace: &DecisionTrace) -> String {
                 let node = node.0;
                 let cause = cause.label();
                 let ts = micros(*t);
-                push(
-                    &mut events,
+                events.push((
                     ts,
                     format!(
                         "{{\"name\":\"node {node} down ({})\",\"cat\":\"node\",\"ph\":\"i\",\
                          \"ts\":{ts},\"pid\":{PID},\"tid\":{DECISIONS_TID},\"s\":\"t\"}}",
                         escape(cause),
                     ),
-                );
+                ));
             }
             TraceEvent::NodeUp { time: t, node } => {
                 let node = node.0;
                 let ts = micros(*t);
-                push(
-                    &mut events,
+                events.push((
                     ts,
                     format!(
                         "{{\"name\":\"node {node} up\",\"cat\":\"node\",\"ph\":\"i\",\
                          \"ts\":{ts},\"pid\":{PID},\"tid\":{DECISIONS_TID},\"s\":\"t\"}}"
                     ),
-                );
+                ));
             }
             TraceEvent::Occupancy {
                 time: t,
@@ -241,82 +240,78 @@ pub fn render(trace: &DecisionTrace) -> String {
                 shared_nodes,
             } => {
                 let ts = micros(*t);
-                push(
-                    &mut events,
+                events.push((
                     ts,
                     format!(
                         "{{\"name\":\"busy_cores\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{PID},\
                          \"args\":{{\"value\":{busy_cores}}}}}"
                     ),
-                );
-                push(
-                    &mut events,
+                ));
+                events.push((
                     ts,
                     format!(
                         "{{\"name\":\"shared_nodes\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{PID},\
                          \"args\":{{\"value\":{shared_nodes}}}}}"
                     ),
-                );
+                ));
             }
-            TraceEvent::Submitted { .. } | TraceEvent::Rejected { .. } => {}
+            TraceEvent::Submitted { time: t, .. } => queue_step(*t, 1),
+            TraceEvent::Rejected { time: t, .. } => queue_step(*t, -1),
         }
     }
 
-    // Queue-depth counter from the derived timeline (submissions and
-    // rejections are folded there rather than emitted per event).
-    let analysis = crate::analysis::Analysis::from_trace(trace);
-    for &(t, v) in analysis.queue_depth.points() {
+    // The queue-depth counter goes out once, after the pass: same-instant
+    // changes collapse in the series rather than emitting per event.
+    for &(t, v) in queue_depth.points() {
         let ts = micros(t);
-        push(
-            &mut events,
+        events.push((
             ts,
             format!(
                 "{{\"name\":\"queue_depth\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{PID},\
                  \"args\":{{\"value\":{v}}}}}"
             ),
-        );
+        ));
     }
 
     // Jobs still running when the trace ends render to its edge.
-    let still_open: Vec<u64> = open.keys().copied().collect();
+    let end = trace.end_time();
+    let still_open: Vec<u64> = lanes.open.keys().copied().collect();
     for job in still_open {
-        close_job(&mut events, &mut lanes, &mut open, &mut push, job, end);
+        lanes.release(&mut events, job, end);
     }
 
     // Track metadata: process name plus one thread_name per used tid.
-    push(
-        &mut events,
+    events.push((
         i64::MIN,
         format!(
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{PID},\
              \"args\":{{\"name\":\"cluster\"}}}}"
         ),
-    );
-    for (tid, name) in &used_tids {
-        push(
-            &mut events,
+    ));
+    for (tid, name) in &lanes.tids {
+        events.push((
             i64::MIN,
             format!(
                 "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{PID},\"tid\":{tid},\
                  \"args\":{{\"name\":\"{}\"}}}}",
                 escape(name),
             ),
-        );
-        push(
-            &mut events,
+        ));
+        events.push((
             i64::MIN,
             format!(
                 "{{\"name\":\"thread_sort_index\",\"ph\":\"M\",\"pid\":{PID},\"tid\":{tid},\
                  \"args\":{{\"sort_index\":{tid}}}}}"
             ),
-        );
+        ));
     }
 
-    events.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+    // Stable: equal timestamps keep their emission order.
+    events.sort_by_key(|e| e.0);
 
     let mut out = String::with_capacity(events.len() * 96 + 32);
     out.push_str("{\"traceEvents\":[");
-    for (i, (_, _, json)) in events.iter().enumerate() {
+    for (i, (_, json)) in events.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }

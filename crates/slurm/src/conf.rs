@@ -76,14 +76,15 @@ impl std::fmt::Display for ConfError {
 impl std::error::Error for ConfError {}
 
 /// Extracts the node count from a `NodeName` value: `n[0-127]` → 128,
-/// a plain name → 1.
+/// a plain name → 1. `None` for a malformed range: brackets out of
+/// order, bounds descending, or a count that overflows `u32`.
 fn node_count_of(name: &str) -> Option<u32> {
     if let (Some(open), Some(close)) = (name.find('['), name.find(']')) {
-        let range = &name[open + 1..close];
+        let range = name.get(open + 1..close)?;
         let (lo, hi) = range.split_once('-')?;
         let lo: u32 = lo.parse().ok()?;
         let hi: u32 = hi.parse().ok()?;
-        (hi >= lo).then(|| hi - lo + 1)
+        hi.checked_sub(lo)?.checked_add(1)
     } else {
         Some(1)
     }

@@ -1,9 +1,84 @@
-//! Property tests for the SLURM text surfaces: walltime round-trips and
+//! Property tests for the SLURM text surfaces: walltime round-trips,
 //! `#SBATCH` header parsing edge cases (zero/huge walltimes, malformed
-//! lines, memory suffixes).
+//! lines, memory suffixes), and fuzzing: no input, arbitrary bytes or
+//! SLURM-shaped junk, panics `SlurmConf::parse`, `JobScript::parse` or
+//! `parse_walltime` — each returns its typed error instead.
 
-use nodeshare_slurm::{format_walltime, parse_walltime, JobScript, ScriptError};
+use nodeshare_slurm::{
+    format_walltime, parse_walltime, ConfError, JobScript, ScriptError, SlurmConf,
+};
 use proptest::prelude::*;
+
+/// Line and option openers of `slurm.conf` and `#SBATCH` text.
+const KEYS: [&str; 14] = [
+    "NodeName=",
+    "PartitionName=",
+    " Sockets=",
+    " ThreadsPerCore=",
+    " RealMemory=",
+    " MaxTime=",
+    " Default=",
+    "#SBATCH --nodes=",
+    "#SBATCH --time=",
+    "#SBATCH --mem=",
+    "#SBATCH --job-name ",
+    "#SBATCH ",
+    "# ",
+    "",
+];
+
+/// Value fragments: range and time punctuation, numbers at the edges of
+/// the integer types, float spellings `str::parse` accepts, and non-ASCII.
+const VALUES: [&str; 24] = [
+    "n[",
+    "[",
+    "]",
+    "-",
+    ":",
+    "=",
+    " ",
+    "\t",
+    "\r",
+    "0",
+    "7",
+    "12",
+    "4294967295",
+    "18446744073709551616",
+    "G",
+    "K",
+    "T",
+    "inf",
+    "NaN",
+    "1e308",
+    "é",
+    "UNLIMITED",
+    "YES",
+    "--",
+];
+
+/// Text in the parsers' own vocabulary: lines of one to three
+/// `key value` words, so random input gets past the first token and
+/// reaches the value parsers.
+fn slurm_text() -> impl Strategy<Value = String> {
+    let value = prop_oneof![
+        (0..VALUES.len()).prop_map(|i| VALUES[i].to_string()),
+        "[ -~]{0,3}",
+    ];
+    let word = ((0..KEYS.len()), prop::collection::vec(value, 0..6))
+        .prop_map(|(k, values)| format!("{}{}", KEYS[k], values.concat()));
+    let line = prop::collection::vec(word, 1..4).prop_map(|words| words.concat());
+    prop::collection::vec(line, 0..12).prop_map(|lines| lines.join("\n"))
+}
+
+/// Feeds `text` to every SLURM text parser; any panic fails the property.
+fn parse_all(text: &str) {
+    let _ = SlurmConf::parse(text);
+    let _ = JobScript::parse(text);
+    let _ = parse_walltime(text);
+    for line in text.lines() {
+        let _ = parse_walltime(line);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -74,6 +149,39 @@ proptest! {
         prop_assert_eq!(s.oversubscribe, share);
         prop_assert_eq!(s.command.as_deref(), Some("srun ./app"));
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary bytes (lossily decoded, as a file read would be) never
+    /// panic a parser.
+    #[test]
+    fn arbitrary_bytes_never_panic_the_parsers(
+        bytes in prop::collection::vec(0u8..=255, 0..512),
+    ) {
+        parse_all(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// Neither does junk assembled from the parsers' own vocabulary.
+    #[test]
+    fn slurm_shaped_junk_never_panics_the_parsers(text in slurm_text()) {
+        parse_all(&text);
+    }
+}
+
+#[test]
+fn malformed_node_ranges_are_typed_errors() {
+    for name in ["n]0-3[", "n][", "n[0-4294967295]", "n[4-2]", "n[x-2]"] {
+        let err = SlurmConf::parse(&format!("NodeName={name}\n")).unwrap_err();
+        assert!(
+            matches!(err, ConfError::BadValue { line: 1, .. }),
+            "{name}: {err}"
+        );
+    }
+    // The widest range that still counts in a u32 parses.
+    let conf = SlurmConf::parse("NodeName=n[1-4294967295]\n").unwrap();
+    assert_eq!(conf.cluster.node_count, u32::MAX);
 }
 
 #[test]

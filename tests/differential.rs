@@ -218,6 +218,42 @@ fn optimized_schedulers_match_reference_bit_for_bit() {
     }
 }
 
+/// The malleable twin of the bit-for-bit check: with 35% of jobs
+/// width-malleable (perf_baseline's adaptive mix), `Adaptive`'s shrink
+/// and grow decisions must come out identical whether its EASY core is
+/// the optimized backfill or the reference oracle.
+#[test]
+fn adaptive_matches_reference_on_malleable_workloads() {
+    let (catalog, model, matrix) = world();
+    let mut config = SimConfig::new(ClusterSpec::evaluation());
+    config.audit = false;
+    let cfg = StrategyConfig::exclusive(StrategyKind::Adaptive);
+
+    let mut reshapes = 0;
+    for seed in [2, 5, 11, 17, 23] {
+        let mut spec = WorkloadSpec::evaluation(&catalog, seed);
+        spec.n_jobs = 70;
+        spec.arrival = ArrivalProcess::Poisson { rate: 0.0080 };
+        spec.malleable_fraction = 0.35;
+        let workload = spec.generate(&catalog);
+        let mut fast = cfg.build(&catalog, &model);
+        let (out_fast, trace_fast) = simulate_traced(&workload, &matrix, fast.as_mut(), &config);
+        let mut refr = cfg.build_reference(&catalog, &model);
+        let (out_ref, trace_ref) = simulate_traced(&workload, &matrix, refr.as_mut(), &config);
+        assert!(
+            trace_fast == trace_ref,
+            "seed {seed}: decision traces diverge"
+        );
+        assert!(out_fast == out_ref, "seed {seed}: outcomes diverge");
+        reshapes += trace_fast
+            .events()
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Reshape { .. }))
+            .count();
+    }
+    assert!(reshapes > 0, "no seed exercised the reshape path");
+}
+
 /// The scheduler counters that describe decisions rather than the work
 /// spent reaching them: how many starts, of which kind, and where each
 /// backfill scan stopped (the scanned total and the scan-depth histogram).
