@@ -47,7 +47,8 @@
 //!   never requires them during a `--quick` CI smoke.
 //! * `--only LABEL` — restrict the grid to one strategy (e.g. time just
 //!   the conservative reference without paying for the 20 000-job
-//!   backfill campaigns).
+//!   backfill campaigns). A label naming no campaign is a usage error
+//!   that lists the known labels.
 //! * `--samples N` — timing replications per campaign (default 3). The
 //!   committed samples give `--check` a spread to gate on: a fresh run
 //!   fails when it lands below `mean - 3·max(σ, 0.10·mean)` of the
@@ -718,6 +719,16 @@ fn main() {
             "--samples" => samples_n = flag_count(&mut it, a),
             "--reps" => reps = flag_count(&mut it, a),
             other => usage_error(&format!("unknown option {other}")),
+        }
+    }
+    // An unknown label would time nothing and pass the mode-scoped gate.
+    if let Some(label) = &only {
+        let known: Vec<&str> = campaigns().iter().map(|c| c.0).collect();
+        if !known.contains(&label.as_str()) {
+            usage_error(&format!(
+                "--only {label:?} names no campaign; known: {}",
+                known.join(", ")
+            ));
         }
     }
 

@@ -110,3 +110,30 @@ fn perf_baseline_rejects_a_malformed_baseline_before_timing() {
     assert!(out.stdout.is_empty(), "timed something before refusing");
     assert!(!fresh.exists(), "wrote --out for a run it refused");
 }
+
+#[test]
+fn perf_baseline_rejects_an_unknown_only_label_before_timing() {
+    let (path, _) = baseline_copy("perf_check_only_typo");
+    let fresh = path.with_file_name("fresh.json");
+    let _ = std::fs::remove_file(&fresh);
+    let out = perf_baseline(&[
+        "--quick",
+        "--only",
+        "nosuch",
+        "--check",
+        path.to_str().unwrap(),
+        "--out",
+        fresh.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("usage: "), "{stderr}");
+    for label in ["easy-backfill", "co-backfill", "conservative", "adaptive"] {
+        assert!(
+            stderr.contains(label),
+            "known label {label} not listed: {stderr}"
+        );
+    }
+    assert!(out.stdout.is_empty(), "timed something before refusing");
+    assert!(!fresh.exists(), "wrote --out for a run it refused");
+}

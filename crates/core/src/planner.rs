@@ -18,6 +18,12 @@
 //!   selection (not a full sort) over the cached free times.
 //! * **Pairing table** — all pairwise policy answers come from the dense
 //!   [`PairingTable`] instead of predictor evaluations.
+//! * **Per-app ranking** — for each candidate app, the eligible partial
+//!   nodes whose whole resident stack accepts it, sorted by `(score desc,
+//!   node id)`. The order depends only on the cached partials and the
+//!   app, so it is built lazily once per cluster stamp; a shared-placement
+//!   attempt walks it and applies only the per-candidate filters
+//!   (reservation, memory, duration match), which keep its order.
 //! * **Per-pass failure memo** — a shared-placement attempt is fully
 //!   determined, within one pass, by `(app, node count, reservation
 //!   restriction, memory-threshold rank, walltime bits)`; failed keys are
@@ -63,6 +69,15 @@ struct PartialInfo {
     res_len: u32,
 }
 
+/// One app's pairing order over the cached partials: indices into
+/// `Planner::partials`, best score first, ties by node id.
+#[derive(Clone, Debug, Default)]
+struct Ranking {
+    /// Built for the current cache key (cleared by every refresh).
+    fresh: bool,
+    order: Vec<u32>,
+}
+
 /// Event-invalidated planning cache + allocation-free picker scratch.
 #[derive(Clone, Debug)]
 pub(crate) struct Planner {
@@ -84,6 +99,11 @@ pub(crate) struct Planner {
     reserved: Vec<bool>,
     reserved_idle: usize,
     eligible_unreserved: usize,
+    /// Partial nodes (eligible or not) in the `reserved` set.
+    reserved_partials: usize,
+    /// Per-app rankings indexed by `AppId::index()`, valid for the
+    /// current cache key once `fresh`.
+    rankings: Vec<Ranking>,
     // Shared-planning failure memo (packed keys), valid within one era.
     // detlint: allow(D1, u128-keyed failure memo probed via contains; never iterated)
     failed_shared: HashSet<u128>,
@@ -100,7 +120,8 @@ pub(crate) struct Planner {
     memo_resv_k: usize,
     // Scratch buffers reused across calls.
     sort_buf: Vec<(NodeId, f64)>,
-    cand_buf: Vec<(u32, NodeId, f64)>,
+    rank_buf: Vec<(u32, NodeId, f64)>,
+    pick_buf: Vec<u32>,
     nodes_buf: Vec<NodeId>,
     apps_buf: Vec<AppId>,
     partner_buf: Vec<(JobId, u32, f64)>,
@@ -120,12 +141,15 @@ impl Planner {
             reserved: Vec::new(),
             reserved_idle: 0,
             eligible_unreserved: 0,
+            reserved_partials: 0,
+            rankings: Vec::new(),
             // detlint: allow(D1, failure memo construction; membership-only, see the field note)
             failed_shared: HashSet::new(),
             memo_era: None,
             memo_resv_k: usize::MAX,
             sort_buf: Vec::new(),
-            cand_buf: Vec::new(),
+            rank_buf: Vec::new(),
+            pick_buf: Vec::new(),
             nodes_buf: Vec::new(),
             apps_buf: Vec::new(),
             partner_buf: Vec::new(),
@@ -232,6 +256,10 @@ impl Planner {
         }
         self.reserved.clear();
         self.reserved.resize(ctx.cluster.node_count(), false);
+        self.reserved_partials = 0;
+        for r in &mut self.rankings {
+            r.fresh = false;
+        }
         self.cache_key = Some(key);
     }
 
@@ -254,6 +282,7 @@ impl Planner {
             self.shadow = f64::INFINITY;
             self.reserved_idle = 0;
             self.eligible_unreserved = self.eligible_count;
+            self.reserved_partials = 0;
             return;
         }
         self.sort_buf.clear();
@@ -270,11 +299,14 @@ impl Planner {
             .idle_nodes()
             .filter(|n| self.reserved[n.index()])
             .count();
-        self.eligible_unreserved = self
-            .partials
-            .iter()
-            .filter(|p| p.eligible && !self.reserved[p.node.index()])
-            .count();
+        self.eligible_unreserved = self.eligible_count;
+        self.reserved_partials = 0;
+        for p in &self.partials {
+            if self.reserved[p.node.index()] {
+                self.reserved_partials += 1;
+                self.eligible_unreserved -= p.eligible as usize;
+            }
+        }
     }
 
     /// [`crate::util::pick_exclusive`] with `allowed = !restricted-or-
@@ -376,9 +408,58 @@ impl Planner {
         }
     }
 
-    /// The body of [`crate::util::plan_shared`] over the cached partials:
-    /// same filters in the same order, same sort key, same evaluation fold
-    /// order — so scores, rates, and the net gain come out bit-identical.
+    /// Builds `app`'s [`Ranking`] over the current partials unless it is
+    /// already fresh: every eligible partial node whose whole stack
+    /// accepts `app`, scored by the minimum pairwise score over its
+    /// residents and sorted by `(score desc, node id)` — a unique total
+    /// order, so the unstable sort is deterministic.
+    fn rank(&mut self, pairing: &Pairing, app: AppId) {
+        let a = app.index();
+        if self.rankings.len() <= a {
+            self.rankings.resize_with(a + 1, Ranking::default);
+        }
+        if self.rankings[a].fresh {
+            return;
+        }
+        self.rank_buf.clear();
+        for (i, info) in self.partials.iter().enumerate() {
+            if !info.eligible {
+                continue;
+            }
+            let res =
+                &self.residents[info.res_start as usize..(info.res_start + info.res_len) as usize];
+            let mut score = f64::INFINITY;
+            for r in res {
+                score = score.min(self.table.score(pairing, app, r.app));
+            }
+            let ok = match res {
+                [r] => self.table.allows(pairing, app, r.app),
+                _ => {
+                    self.apps_buf.clear();
+                    self.apps_buf.extend(res.iter().map(|r| r.app));
+                    self.table.allows_stack(pairing, app, &self.apps_buf)
+                }
+            };
+            if ok {
+                self.rank_buf.push((i as u32, info.node, score));
+            }
+        }
+        self.rank_buf
+            .sort_unstable_by(|a, b| b.2.total_cmp(&a.2).then(a.1.cmp(&b.1)));
+        let ranking = &mut self.rankings[a];
+        ranking.order.clear();
+        ranking.order.extend(self.rank_buf.iter().map(|c| c.0));
+        ranking.fresh = true;
+    }
+
+    /// The body of [`crate::util::plan_shared`] over the cached partials.
+    /// The reference scores and sorts the partial nodes for every
+    /// candidate; here the candidate app's [`Ranking`] already holds the
+    /// nodes that pass the candidate-independent filters in that sorted
+    /// order, so the walk applies only the per-candidate filters (the
+    /// reservation, memory, and the duration-match overlap at `now`) and
+    /// takes the first `k` survivors. Filtering keeps the order, so the
+    /// chosen nodes, their rates, and the net gain come out bit-identical.
     /// Counts one pairing query per unreserved partial node and one hit
     /// per node that survives every filter, as the reference does. Leaves
     /// the chosen nodes in `nodes_buf` and returns the net gain.
@@ -391,23 +472,23 @@ impl Planner {
         k: usize,
         idle_ok: bool,
     ) -> Option<f64> {
-        self.cand_buf.clear();
+        self.rank(pairing, job.app);
         let cand_bound = job.walltime_estimate * ctx.shared_grace.max(1.0);
-        let mut queries = 0u64;
-        'nodes: for (i, info) in self.partials.iter().enumerate() {
+        let mem = u64::from(job.mem_per_node_mib);
+        self.pick_buf.clear();
+        self.nodes_buf.clear();
+        let mut hits = 0u64;
+        'nodes: for &i in &self.rankings[job.app.index()].order {
+            let info = &self.partials[i as usize];
             if restricted && self.reserved[info.node.index()] {
                 continue;
             }
-            queries += 1;
-            if info.mem_free < u64::from(job.mem_per_node_mib) {
+            if info.mem_free < mem {
                 continue;
             }
-            if !info.eligible {
-                continue;
-            }
-            let res =
-                &self.residents[info.res_start as usize..(info.res_start + info.res_len) as usize];
             if let Some(theta) = pairing.duration_match {
+                let res = &self.residents
+                    [info.res_start as usize..(info.res_start + info.res_len) as usize];
                 for r in res {
                     let remaining = (r.est_end - ctx.now).max(0.0);
                     let overlap = remaining.min(cand_bound) / remaining.max(cand_bound).max(1e-9);
@@ -416,35 +497,23 @@ impl Planner {
                     }
                 }
             }
-            let mut score = f64::INFINITY;
-            for r in res {
-                score = score.min(self.table.score(pairing, job.app, r.app));
+            hits += 1;
+            if self.pick_buf.len() < k {
+                self.pick_buf.push(i);
+                self.nodes_buf.push(info.node);
             }
-            let ok = match res {
-                [r] => self.table.allows(pairing, job.app, r.app),
-                _ => {
-                    self.apps_buf.clear();
-                    self.apps_buf.extend(res.iter().map(|r| r.app));
-                    self.table.allows_stack(pairing, job.app, &self.apps_buf)
-                }
-            };
-            if !ok {
-                continue;
-            }
-            self.cand_buf.push((i as u32, info.node, score));
         }
         if let Some(t) = ctx.telemetry {
-            t.pairing_queries.add(queries);
-            t.pairing_hits.add(self.cand_buf.len() as u64);
+            let reserved = if restricted {
+                self.reserved_partials
+            } else {
+                0
+            };
+            t.pairing_queries
+                .add((self.partials.len() - reserved) as u64);
+            t.pairing_hits.add(hits);
         }
-        // Best predicted pairs first, ties by node id — a unique total
-        // order, so the unstable sort is deterministic.
-        self.cand_buf
-            .sort_unstable_by(|a, b| b.2.total_cmp(&a.2).then(a.1.cmp(&b.1)));
-        let chosen = self.cand_buf.len().min(k);
-        self.nodes_buf.clear();
-        self.nodes_buf
-            .extend(self.cand_buf[..chosen].iter().map(|c| c.1));
+        let chosen = self.pick_buf.len();
         if chosen < k && idle_ok {
             let need = k - chosen;
             if restricted {
@@ -465,7 +534,7 @@ impl Planner {
         // contribute to the rates and losses.
         let mut candidate_rate = 1.0f64;
         self.partner_buf.clear();
-        for &(i, _, _) in &self.cand_buf[..chosen] {
+        for &i in &self.pick_buf {
             let info = &self.partials[i as usize];
             let res =
                 &self.residents[info.res_start as usize..(info.res_start + info.res_len) as usize];
@@ -1046,6 +1115,131 @@ mod memo_tests {
         assert_eq!(planner.memo_len(), 1);
         planner.compute_reservation(&ctx, 2);
         assert_eq!(planner.memo_len(), 0);
+    }
+
+    impl Rig {
+        /// Runs `job` of `app` in a shared lane on each of `nodes`.
+        fn share(&mut self, job: u64, app: AppId, nodes: &[u32], eligible: bool) {
+            let ids: Vec<NodeId> = nodes.iter().map(|&n| NodeId(n)).collect();
+            self.cluster.allocate_shared(JobId(job), &ids, 64).unwrap();
+            self.running.insert(
+                JobId(job),
+                RunningSummary {
+                    job: JobId(job),
+                    app,
+                    nodes: nodes.len() as u32,
+                    requested_nodes: nodes.len() as u32,
+                    malleable: Default::default(),
+                    start: 0.0,
+                    walltime_estimate: 1_000.0,
+                    kill_at: 1_000.0,
+                    share_eligible: eligible,
+                    mode: ShareMode::Shared,
+                },
+            );
+        }
+
+        fn end(&mut self, job: u64) {
+            self.cluster.release(JobId(job)).unwrap();
+            self.running.remove(&JobId(job));
+        }
+    }
+
+    /// `app`'s ranking derived from scratch: every partial node whose
+    /// residents are all known and share-eligible and whose whole stack
+    /// accepts `app`, by (minimum pairwise score desc, node id).
+    fn ranked_from_scratch(ctx: &SchedContext<'_>, pairing: &Pairing, app: AppId) -> Vec<NodeId> {
+        let mut ranked: Vec<(NodeId, f64)> = ctx
+            .cluster
+            .partial_nodes()
+            .filter_map(|n| {
+                let mut apps = Vec::new();
+                for j in ctx.cluster.node(n)?.occupants() {
+                    apps.push(ctx.running.get(&j).filter(|r| r.share_eligible)?.app);
+                }
+                let score = apps
+                    .iter()
+                    .map(|&r| pairing.score(app, r))
+                    .fold(f64::INFINITY, f64::min);
+                pairing.allows_stack(app, &apps).then_some((n, score))
+            })
+            .collect();
+        ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        ranked.into_iter().map(|r| r.0).collect()
+    }
+
+    /// Builds the rankings of `apps`, then checks every fresh ranking —
+    /// including ones built in earlier passes — against the current
+    /// partial set. Returns how many nodes the checked rankings hold.
+    fn check_rankings(
+        planner: &mut Planner,
+        ctx: &SchedContext<'_>,
+        pairing: &Pairing,
+        apps: &[AppId],
+    ) -> usize {
+        planner.begin_pass(ctx);
+        for &app in apps {
+            planner.rank(pairing, app);
+        }
+        let mut held = 0;
+        for (a, ranking) in planner.rankings.iter().enumerate() {
+            if !ranking.fresh {
+                continue;
+            }
+            let app = AppId(a as u8);
+            let got: Vec<NodeId> = ranking
+                .order
+                .iter()
+                .map(|&i| planner.partials[i as usize].node)
+                .collect();
+            assert_eq!(got, ranked_from_scratch(ctx, pairing, app), "app {a}");
+            held += got.len();
+        }
+        held
+    }
+
+    #[test]
+    fn rankings_track_starts_releases_and_eligibility() {
+        let catalog = AppCatalog::trinity();
+        let apps: Vec<AppId> = catalog.ids().collect();
+        let app = |name: &str| catalog.by_name(name).unwrap().id;
+        for pairing in [
+            Pairing::new(PairingPolicy::default_threshold(), oracle()),
+            Pairing::new(PairingPolicy::Any, oracle()),
+        ] {
+            let node = NodeSpec {
+                smt: 4,
+                ..NodeSpec::tiny()
+            };
+            let mut rig = Rig {
+                cluster: Cluster::new(ClusterSpec::new(6, node)),
+                running: BTreeMap::new(),
+                queue: Vec::new(),
+            };
+            let mut planner = Planner::new(&pairing);
+            let (even, odd) = (&apps[..apps.len() / 2], &apps[apps.len() / 2..]);
+            rig.share(1, app("AMG"), &[0, 1], true);
+            rig.share(2, app("miniFE"), &[1, 2], true);
+            rig.share(3, app("GTC"), &[3], true);
+            assert!(check_rankings(&mut planner, &rig.ctx(0.0), &pairing, even) > 0);
+            // Same stamp, later instant: the first half's rankings stay
+            // fresh beside the second half's.
+            check_rankings(&mut planner, &rig.ctx(5.0), &pairing, odd);
+            assert!(planner.rankings.iter().filter(|r| r.fresh).count() >= apps.len());
+            // A start deepens node 1's stack to three.
+            rig.share(4, app("SNAP"), &[1, 4], true);
+            check_rankings(&mut planner, &rig.ctx(5.0), &pairing, odd);
+            check_rankings(&mut planner, &rig.ctx(5.0), &pairing, &apps);
+            // A release leaves node 0 idle.
+            rig.end(1);
+            check_rankings(&mut planner, &rig.ctx(10.0), &pairing, even);
+            // A share-ineligible resident makes node 3 ineligible; its
+            // release makes it eligible again.
+            rig.share(5, app("AMG"), &[3, 5], false);
+            check_rankings(&mut planner, &rig.ctx(10.0), &pairing, &apps);
+            rig.end(5);
+            assert!(check_rankings(&mut planner, &rig.ctx(15.0), &pairing, &apps) > 0);
+        }
     }
 }
 

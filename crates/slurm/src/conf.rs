@@ -144,10 +144,15 @@ impl SlurmConf {
                         None => Ok(default),
                     }
                 };
+                let sockets = parse_u("Sockets", 2)?;
+                let cores = parse_u("CoresPerSocket", 16)?;
+                let smt = parse_u("ThreadsPerCore", 2)?;
                 let node = NodeSpec {
-                    sockets: parse_u("Sockets", 2)? as u8,
-                    cores_per_socket: parse_u("CoresPerSocket", 16)? as u16,
-                    smt: parse_u("ThreadsPerCore", 2)? as u8,
+                    sockets: u8::try_from(sockets)
+                        .map_err(|_| bad("Sockets", &sockets.to_string()))?,
+                    cores_per_socket: u16::try_from(cores)
+                        .map_err(|_| bad("CoresPerSocket", &cores.to_string()))?,
+                    smt: u8::try_from(smt).map_err(|_| bad("ThreadsPerCore", &smt.to_string()))?,
                     mem_mib: parse_u("RealMemory", 128 * 1024)?,
                 };
                 let spec = ClusterSpec::new(count, node);

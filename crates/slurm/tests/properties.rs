@@ -185,6 +185,34 @@ fn malformed_node_ranges_are_typed_errors() {
 }
 
 #[test]
+fn out_of_range_node_widths_are_typed_errors() {
+    // One past each field's type: a typed error naming the key, never a
+    // wrapped width (257 sockets read as 1).
+    for (key, value) in [
+        ("Sockets", "257"),
+        ("CoresPerSocket", "65537"),
+        ("ThreadsPerCore", "258"),
+    ] {
+        let err = SlurmConf::parse(&format!("NodeName=n[0-3] {key}={value}\n")).unwrap_err();
+        match &err {
+            ConfError::BadValue {
+                line: 1, key: k, ..
+            } => assert_eq!(k, key, "{err}"),
+            _ => panic!("{key}={value}: {err}"),
+        }
+    }
+    // The widest values each type holds still parse.
+    let conf =
+        SlurmConf::parse("NodeName=n[0-3] Sockets=255 CoresPerSocket=65535 ThreadsPerCore=255\n")
+            .unwrap();
+    let node = conf.cluster.node;
+    assert_eq!(
+        (node.sockets, node.cores_per_socket, node.smt),
+        (255, 65535, 255)
+    );
+}
+
+#[test]
 fn huge_walltimes_fail_instead_of_overflowing() {
     // u64::MAX parses as a number but not as seconds: each of these used
     // to overflow the `((d*24+h)*60+m)*60+sec` fold in debug builds.

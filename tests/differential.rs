@@ -348,6 +348,159 @@ fn optimized_schedulers_match_reference_telemetry() {
     }
 }
 
+/// The most jobs any node hosts when a shared start is applied,
+/// replayed from the trace's starts and ends.
+fn deepest_stack(trace: &DecisionTrace) -> usize {
+    use std::collections::BTreeMap;
+    let mut held: BTreeMap<JobId, Vec<NodeId>> = BTreeMap::new();
+    let mut residents: BTreeMap<NodeId, usize> = BTreeMap::new();
+    let mut deepest = 0;
+    for event in trace.events() {
+        match event {
+            TraceEvent::Started {
+                job, nodes, mode, ..
+            } => {
+                if *mode == ShareMode::Shared {
+                    deepest = deepest.max(residents.values().copied().max().unwrap_or(0));
+                }
+                for n in nodes {
+                    *residents.entry(*n).or_default() += 1;
+                }
+                held.insert(*job, nodes.clone());
+            }
+            TraceEvent::Finished { job, .. } | TraceEvent::Requeued { job, .. } => {
+                for n in held.remove(job).unwrap_or_default() {
+                    *residents.entry(n).or_default() -= 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    deepest
+}
+
+/// Shared placement beyond the plain SMT-2 case: the duration-match
+/// overlap filter (θ = 0.5) on the evaluation cluster, and resident
+/// stacks deeper than one on an SMT-4 cluster, priced by the n-way
+/// oracle (which admits no triples but evaluates every pair as a stack)
+/// and by the pairwise class-based predictor (which admits triples).
+/// Every sharing strategy must keep the reference's traces and outcomes
+/// on each saturated seed, and each SMT-4 variant must reach its stack
+/// depth: a shared start while a node hosts two jobs walks a two-deep
+/// stack, and three jobs on a node means a triple was admitted. The reference counts every pairing
+/// evaluation; the fast path skips those its failure memo and early
+/// exits prove futile, which on SMT-4 happens even at 60 jobs. So its
+/// `(pairing_queries, pairing_hits)` are bounded by the reference's on
+/// every run and pinned exactly, summed over the seeds.
+#[test]
+fn shared_placement_matches_reference_with_duration_match_and_deep_stacks() {
+    use nodeshare::engine::SimTelemetry;
+    let (catalog, model, matrix) = world();
+    let smt4 = ClusterSpec::new(
+        128,
+        NodeSpec {
+            smt: 4,
+            ..NodeSpec::trinity_like()
+        },
+    );
+    let mut theta_changed = false;
+    // Pinned (pairing_queries, pairing_hits) for co-backfill,
+    // co-backfill-only and co-first-fit.
+    for (cluster, predictor, theta, depth, pinned) in [
+        (
+            ClusterSpec::evaluation(),
+            PredictorKind::ClassBased,
+            Some(0.5),
+            2,
+            [(66_699, 3_970), (72_967, 7_173), (41_336, 2_113)],
+        ),
+        (
+            smt4,
+            PredictorKind::NWayOracle,
+            None,
+            2,
+            [(68_143, 4_941), (61_955, 5_782), (37_108, 3_017)],
+        ),
+        (
+            smt4,
+            PredictorKind::ClassBased,
+            None,
+            3,
+            [(36_064, 4_106), (61_530, 10_006), (28_401, 2_473)],
+        ),
+    ] {
+        let mut deepest = 0;
+        let mut config = SimConfig::new(cluster);
+        config.audit = false;
+        let kinds = [
+            StrategyKind::CoBackfill,
+            StrategyKind::CoBackfillOnly,
+            StrategyKind::CoFirstFit,
+        ];
+        for (kind, pinned) in kinds.into_iter().zip(pinned) {
+            let mut cfg = StrategyConfig::sharing(kind);
+            cfg.predictor = predictor;
+            cfg.duration_match = theta;
+            let mut counted = (0, 0);
+            for seed in [3, 8, 19, 29] {
+                let workload = saturated_workload(&catalog, seed, 60);
+                let run = |sched: &mut dyn Scheduler| {
+                    let tele = SimTelemetry::new(300.0);
+                    let observe = Observe {
+                        trace: true,
+                        telemetry: Some(&tele),
+                    };
+                    let (out, trace) = simulate_with(&workload, &matrix, sched, &config, observe);
+                    let counters = (
+                        tele.sched.pairing_queries.get(),
+                        tele.sched.pairing_hits.get(),
+                    );
+                    (out, trace.expect("trace requested"), counters)
+                };
+                let case = format!(
+                    "{} smt{} {predictor:?} θ={theta:?} seed {seed}",
+                    cfg.label(),
+                    cluster.node.smt
+                );
+                let (out_fast, trace_fast, counters_fast) =
+                    run(cfg.build(&catalog, &model).as_mut());
+                let (out_ref, trace_ref, counters_ref) =
+                    run(cfg.build_reference(&catalog, &model).as_mut());
+                assert!(trace_fast == trace_ref, "{case}: decision traces diverge");
+                assert!(out_fast == out_ref, "{case}: outcomes diverge");
+                assert!(
+                    counters_fast.0 <= counters_ref.0 && counters_fast.1 <= counters_ref.1,
+                    "{case}: pairing counters {counters_fast:?} exceed the reference's \
+                     {counters_ref:?}"
+                );
+                counted.0 += counters_fast.0;
+                counted.1 += counters_fast.1;
+                deepest = deepest.max(deepest_stack(&trace_fast));
+                if theta.is_some() {
+                    let mut plain = cfg;
+                    plain.duration_match = None;
+                    let (_, trace_plain, _) = run(plain.build(&catalog, &model).as_mut());
+                    theta_changed |= trace_plain != trace_fast;
+                }
+            }
+            assert_eq!(
+                counted,
+                pinned,
+                "{} smt{} {predictor:?} θ={theta:?}: (pairing_queries, pairing_hits) \
+                 summed over seeds",
+                cfg.label(),
+                cluster.node.smt
+            );
+        }
+        assert!(
+            deepest >= depth,
+            "smt{} {predictor:?}: no shared start saw a node hosting {depth} jobs",
+            cluster.node.smt
+        );
+    }
+    assert!(theta_changed, "θ = 0.5 never changed a schedule");
+}
+
 /// The incremental conservative path (version-keyed profile base,
 /// in-place reservation splicing, cross-pass prefix memo) must be
 /// bit-identical to the from-scratch reference on **every workload
