@@ -72,7 +72,7 @@ use nodeshare_bench::campaign::{run_campaign, CampaignSpec, CellOptions, PresetV
 use nodeshare_bench::orchestrator::Parallelism;
 use nodeshare_bench::{seeds, World};
 use nodeshare_core::{StrategyConfig, StrategyKind};
-use nodeshare_engine::{run, simulate, JsonValue, Observe, SimConfig};
+use nodeshare_engine::{run, simulate, JsonValue, Observe, SimConfig, STREAM_CHUNK_JOBS};
 use nodeshare_workload::WorkloadSpec;
 use rayon::prelude::*;
 use std::fmt::Write as _;
@@ -605,16 +605,15 @@ fn measure_orchestrator(world: &World, quick: bool) -> Vec<Entry> {
 }
 
 /// Times the million-job streamed EASY campaign: jobs are pulled from
-/// the generator source chunk by chunk (8 192 at a time), the simulation
-/// runs in lean mode (counters + occupancy accumulators, no per-job
-/// records), and the process peak RSS is recorded alongside events/sec.
-/// Only queued + in-flight jobs are ever resident, so `peak_rss_mib` is
-/// a function of queue depth — not of the million — and `--check` gates
-/// on it (mode `stream`; excluded from `--quick`, the mode-scoped
-/// coverage gate never requires it there).
+/// the generator source chunk by chunk ([`STREAM_CHUNK_JOBS`] at a
+/// time), the simulation runs in lean mode (counters + occupancy
+/// accumulators, no per-job records), and the process peak RSS is
+/// recorded alongside events/sec. Only queued + in-flight jobs are ever
+/// resident, so `peak_rss_mib` is a function of queue depth — not of the
+/// million — and `--check` gates on it (mode `stream`; excluded from
+/// `--quick`, the mode-scoped coverage gate never requires it there).
 fn measure_streamed(world: &World) -> Entry {
     const STREAM_JOBS: u32 = 1_000_000;
-    const CHUNK: usize = 8_192;
     // The ~90 % offered-load online mix: the queue drains, so depth (and
     // with it resident memory) stays bounded no matter how many jobs
     // flow through.
@@ -626,9 +625,9 @@ fn measure_streamed(world: &World) -> Entry {
     sim_cfg.audit = false;
     sim_cfg.retain_detail = false;
     eprintln!(
-        "timing easy-backfill (stream): {STREAM_JOBS} jobs, chunks of {CHUNK}, lean mode ..."
+        "timing easy-backfill (stream): {STREAM_JOBS} jobs, chunks of {STREAM_CHUNK_JOBS}, lean mode ..."
     );
-    let mut source = spec.stream(&world.catalog, CHUNK);
+    let mut source = spec.stream(&world.catalog, STREAM_CHUNK_JOBS);
     let started = Instant::now();
     let (out, _) = simulate(
         &mut source,

@@ -19,7 +19,9 @@ use crate::orchestrator::{run_cells, CellFailure, Parallelism};
 use crate::{sim_config, World};
 use nodeshare_cluster::ClusterSpec;
 use nodeshare_core::StrategyConfig;
-use nodeshare_engine::{simulate, DecisionTrace, FailureModel, Observe, SimOutcome, SimTelemetry};
+use nodeshare_engine::{
+    simulate, DecisionTrace, FailureModel, Observe, SimOutcome, SimTelemetry, STREAM_CHUNK_JOBS,
+};
 use nodeshare_metrics::{CampaignMetrics, Table};
 use nodeshare_workload::WorkloadSpec;
 
@@ -322,11 +324,6 @@ pub fn trace_hash(trace: &DecisionTrace) -> u64 {
     h
 }
 
-/// Jobs per chunk when a cell's in-memory workload is streamed into the
-/// engine: the chunking `nodeshare_engine::run` uses, so the event-queue
-/// gauge in telemetry samples (which follows the chunking) matches it.
-const CHUNK_JOBS: usize = 8192;
-
 /// The directory campaign cells dump telemetry into, from the
 /// `NODESHARE_TELEMETRY` environment variable (`0`/empty disables).
 fn telemetry_dir() -> Option<std::path::PathBuf> {
@@ -396,7 +393,7 @@ pub fn run_cell(
     };
     let sim_started = std::time::Instant::now();
     let (out, trace) = simulate(
-        &mut workload.source(CHUNK_JOBS),
+        &mut workload.source(STREAM_CHUNK_JOBS),
         &world.matrix,
         sched.as_mut(),
         &sim_cfg,
@@ -660,29 +657,41 @@ pub fn run_campaign(
         serial = (parallelism == Parallelism::Serial)
     );
     let started = std::time::Instant::now();
-    let mut table = Table::new(cell_table_header());
-    let completed = run_cells(
+    let outcomes = run_cells(
         &coords,
         parallelism,
         |_, c| spec.cell_label(c),
         |_, c| run_cell(world, spec, c, opts),
-        |idx, r: &CellResult| {
-            table.row(cell_table_row(spec, idx, r));
-            // Progress, in canonical order (the merge guarantees it):
-            // one line per completed cell with its wall-clock profile.
-            nodeshare_obs::info!(
-                campaign_target.as_str(),
-                "cell merged";
-                cell = spec.cell_label(&r.coord),
-                index = idx,
-                of = n,
-                wall_ms = format!("{:.1}", r.wall_seconds * 1e3),
-                events_per_sec = format!("{:.0}", events_per_sec(r))
-            );
-        },
     );
     let wall_seconds = started.elapsed().as_secs_f64();
-    let results = completed.into_results()?;
+    let mut table = Table::new(cell_table_header());
+    let mut results = Vec::with_capacity(n);
+    let mut failures = Vec::new();
+    for (idx, outcome) in outcomes.into_iter().enumerate() {
+        let r = match outcome {
+            Ok(r) => r,
+            Err(f) => {
+                failures.push(f);
+                continue;
+            }
+        };
+        table.row(cell_table_row(spec, idx, &r));
+        // Progress, in canonical order: one line per completed cell
+        // with its wall-clock profile.
+        nodeshare_obs::info!(
+            campaign_target.as_str(),
+            "cell merged";
+            cell = spec.cell_label(&r.coord),
+            index = idx,
+            of = n,
+            wall_ms = format!("{:.1}", r.wall_seconds * 1e3),
+            events_per_sec = format!("{:.0}", events_per_sec(&r))
+        );
+        results.push(r);
+    }
+    if !failures.is_empty() {
+        return Err(failures);
+    }
     let run = CampaignRun {
         spec: spec.clone(),
         results,

@@ -1,11 +1,9 @@
-//! Campaign orchestrator acceptance tests: canonical-order merging under
-//! adversarial completion schedules, and per-cell fault isolation with
-//! coordinate-labeled failures.
+//! Campaign orchestrator acceptance tests: canonical cell enumeration,
+//! canonical result order from a real worker pool, and per-cell fault
+//! isolation with coordinate-labeled failures.
 
 use nodeshare_bench::campaign::{run_campaign, run_cell, CampaignSpec, CellOptions, PresetVariant};
-use nodeshare_bench::orchestrator::{
-    run_cells, run_cells_serial, run_cells_with_schedule, Parallelism,
-};
+use nodeshare_bench::orchestrator::{run_cells, run_cells_serial, Parallelism};
 use nodeshare_bench::{seeds, World};
 use nodeshare_core::{StrategyConfig, StrategyKind};
 use nodeshare_workload::{ArrivalProcess, WorkloadSpec};
@@ -40,31 +38,19 @@ fn small_spec(world: &World) -> CampaignSpec {
     )
 }
 
-/// Turns arbitrary sort keys into a completion permutation of `0..n`.
-fn permutation_from_keys(keys: &[u64]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..keys.len()).collect();
-    order.sort_by_key(|&i| (keys[i], i));
-    order
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// An arbitrary campaign grid, completed in an arbitrary (injected,
-    /// adversarial) order, still merges in canonical cell order and
-    /// matches the serial reference cell for cell. The runner is
-    /// synthetic — the property under test is the merge path, not the
-    /// simulator.
+    /// Every coordinate of an arbitrary campaign grid round-trips
+    /// through its canonical index.
     #[test]
-    fn arbitrary_grids_merge_canonically_under_shuffled_schedules(
+    fn arbitrary_grids_enumerate_canonically(
         n_presets in 1usize..5,
         n_clusters in 1usize..4,
         n_strategies in 1usize..5,
         n_seeds in 1usize..5,
-        keys in prop::collection::vec(0u64..10_000, 300),
     ) {
-        // A real spec supplies the grid enumeration; the cells carry
-        // coordinates only.
+        // A real spec supplies the grid enumeration.
         let template = WorkloadSpec::evaluation(&nodeshare_perf::AppCatalog::trinity(), 0);
         let spec = CampaignSpec {
             name: "prop",
@@ -91,23 +77,11 @@ proptest! {
         for (i, c) in cells.iter().enumerate() {
             prop_assert_eq!(spec.index_of(c), i);
         }
-        let schedule = permutation_from_keys(&keys[..cells.len()]);
-        let runner = |i: usize, c: &nodeshare_bench::campaign::CellCoord| {
-            (i, c.preset * 1000 + c.cluster * 100 + c.strategy * 10 + c.seed)
-        };
-
-        let reference = run_cells_serial(&cells, runner, |_, _| {});
-        let mut merged_order = Vec::new();
-        let shuffled = run_cells_with_schedule(&cells, &schedule, runner, |i, _| {
-            merged_order.push(i);
-        });
-        prop_assert_eq!(&merged_order, &(0..cells.len()).collect::<Vec<_>>());
-        prop_assert_eq!(shuffled, reference);
     }
 
-    /// The same property through the real worker pool: whatever
-    /// completion order the threads produce, the merge delivers
-    /// canonical order and serial-identical results.
+    /// Whatever completion order the threads of a real worker pool
+    /// produce, results come back in canonical order, identical to the
+    /// serial reference.
     #[test]
     fn worker_pool_merges_canonically(
         n_cells in 1usize..120,
@@ -115,17 +89,15 @@ proptest! {
     ) {
         let cells: Vec<usize> = (0..n_cells).collect();
         let runner = |i: usize, c: &usize| i as u64 * 31 + *c as u64;
-        let reference = run_cells_serial(&cells, runner, |_, _| {});
-        let mut merged_order = Vec::new();
+        let reference = run_cells_serial(&cells, runner);
         let done = run_cells(
             &cells,
             Parallelism::Jobs(jobs),
             |i, _| format!("cell{i}"),
             runner,
-            |i, _| merged_order.push(i),
         );
-        prop_assert_eq!(&merged_order, &(0..n_cells).collect::<Vec<_>>());
-        prop_assert_eq!(done.into_results().unwrap(), reference);
+        let results: Vec<u64> = done.into_iter().map(Result::unwrap).collect();
+        prop_assert_eq!(results, reference);
     }
 }
 
@@ -156,11 +128,11 @@ fn panicking_cell_reports_coordinates_without_poisoning_siblings() {
             }
             run_cell(&world, &spec, c, &opts)
         },
-        |_, _| {},
     );
 
-    assert_eq!(done.failures.len(), 1);
-    let f = &done.failures[0];
+    let failures: Vec<_> = done.iter().filter_map(|r| r.as_ref().err()).collect();
+    assert_eq!(failures.len(), 1);
+    let f = failures[0];
     assert_eq!(f.index, poisoned);
     assert_eq!(f.label, "online/128n-smt2/co-backfill/seed1001");
     assert!(f.message.contains("injected wedge"));
@@ -171,16 +143,15 @@ fn panicking_cell_reports_coordinates_without_poisoning_siblings() {
     assert!(report.contains("seed1001"), "{report}");
 
     // Every sibling simulated to completion and kept its result.
-    for (i, slot) in done.results.iter().enumerate() {
+    for (i, slot) in done.iter().enumerate() {
         if i == poisoned {
-            assert!(slot.is_none());
+            assert!(slot.is_err());
         } else {
             let r = slot.as_ref().expect("sibling cell lost its result");
             assert_eq!(spec.index_of(&r.coord), i);
             assert!(r.outcome.complete());
         }
     }
-    assert!(done.into_results().is_err());
 }
 
 /// End-to-end through [`run_campaign`]: a preset whose workload

@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! nodeshare simulate --jobs 500 --seed 42 --strategy co-backfill
-//! nodeshare simulate --swf trace.swf --conf slurm.conf --strategy easy
+//! nodeshare simulate --source trace.swf --materialize --conf slurm.conf --strategy easy
 //! nodeshare simulate --telemetry run.jsonl --log-level debug
 //! nodeshare metrics --jobs 200 --strategy co-backfill
 //! nodeshare workload --jobs 1000 --seed 1 --out campaign.swf
@@ -22,7 +22,9 @@ pub mod report;
 use args::{ArgError, Invocation};
 use nodeshare_cluster::ClusterSpec;
 use nodeshare_core::{PairingPolicy, PredictorKind, StrategyConfig, StrategyKind};
-use nodeshare_engine::{DecisionTrace, FailureModel, Observe, SimConfig, SimOutcome};
+use nodeshare_engine::{
+    DecisionTrace, FailureModel, Observe, SimConfig, SimOutcome, STREAM_CHUNK_JOBS,
+};
 use nodeshare_perf::{AppCatalog, CoRunTruth, ContentionModel, PairMatrix, Resource};
 use nodeshare_slurm::SlurmConf;
 use nodeshare_workload::{
@@ -103,7 +105,6 @@ SIMULATE OPTIONS:
   --predictor P      oracle | nway | class | oblivious (default class)
   --conf FILE        slurm.conf-style machine description
   --nodes N          cluster size when no --conf        (default 128)
-  --swf FILE         replay an SWF trace instead of generating
   --source FILE      stream jobs from a workload trace instead of
                      generating or materializing: SWF or cluster-trace
                      CSV, pulled chunk by chunk so the file never has
@@ -111,7 +112,8 @@ SIMULATE OPTIONS:
   --source-format F  swf | alibaba | google  (default: inferred from the
                      extension — .swf -> swf, .csv -> alibaba)
   --materialize      load --source fully into memory up front (restores
-                     the workload-stats section of the report)
+                     the workload-stats section of the report; reads an
+                     SWF trace that is not submit-sorted)
   --lean             keep counters and occupancy integrals only, no
                      per-job records: bounded memory for million-job
                      streamed campaigns (simulate/metrics only;
@@ -141,9 +143,15 @@ where
     I: IntoIterator<Item = S>,
     S: Into<String>,
 {
+    let mut argv: Vec<String> = argv.into_iter().map(Into::into).collect();
+    // `nodeshare CMD --help` (or `-h`) prints CMD's part of the usage.
+    if argv.iter().skip(1).any(|a| a == "--help" || a == "-h") {
+        if let Some(usage) = subcommand_usage(&argv[0]) {
+            return Ok(usage);
+        }
+    }
     // `report` takes its input positionally (`nodeshare report t.json`);
     // rewrite that one token to `--in t.json` for the flag parser.
-    let mut argv: Vec<String> = argv.into_iter().map(Into::into).collect();
     if argv.first().map(String::as_str) == Some("report")
         && argv.get(1).is_some_and(|a| !a.starts_with("--"))
     {
@@ -168,6 +176,37 @@ where
             "unknown subcommand {other:?}; try `nodeshare help`"
         ))),
     }
+}
+
+/// The usage of one subcommand: its synopsis plus the [`USAGE`] option
+/// sections it accepts. `None` for a name that is not a subcommand.
+fn subcommand_usage(command: &str) -> Option<String> {
+    let sections: &[&str] = match command {
+        "help" => return Some(USAGE.to_string()),
+        "simulate" | "metrics" => &["SIMULATE OPTIONS", "TELEMETRY OPTIONS"],
+        "audit" => &["AUDIT OPTIONS", "SIMULATE OPTIONS"],
+        "report" => &["REPORT OPTIONS"],
+        "workload" => &["WORKLOAD OPTIONS"],
+        _ => &[],
+    };
+    // The synopsis is the subcommand's line under USAGE plus its
+    // continuation lines, which are indented deeper.
+    let head = format!("  nodeshare {command} ");
+    let mut lines = USAGE.lines().skip_while(|line| !line.starts_with(&head));
+    let first = lines.next()?;
+    let mut usage = String::new();
+    for line in std::iter::once(first).chain(lines.take_while(|line| line.starts_with("   "))) {
+        usage.push_str(&line[2..]);
+        usage.push('\n');
+    }
+    for section in USAGE.split("\n\n") {
+        if sections.iter().any(|name| section.starts_with(name)) {
+            usage.push('\n');
+            usage.push_str(section.trim_end());
+            usage.push('\n');
+        }
+    }
+    Some(usage)
 }
 
 fn parse_strategy(inv: &Invocation) -> Result<StrategyConfig, CliError> {
@@ -282,6 +321,20 @@ fn source_kind(inv: &Invocation, path: &str) -> Result<SourceKind, CliError> {
     }
 }
 
+/// Opens a trace file for buffered reading.
+fn open_file(path: &str) -> Result<std::io::BufReader<std::fs::File>, CliError> {
+    let file = std::fs::File::open(path).map_err(|e| CliError::Io(path.to_string(), e))?;
+    Ok(std::io::BufReader::new(file))
+}
+
+/// How SWF processor counts map onto `cluster`'s nodes.
+fn swf_options(cluster: &ClusterSpec) -> swf::SwfImportOptions {
+    swf::SwfImportOptions {
+        cores_per_node: cluster.node.cores(),
+        ..Default::default()
+    }
+}
+
 /// Opens `--source` as a streaming [`JobSource`]. The box borrows the
 /// catalog, so it lives within the calling command's frame.
 fn open_source<'c>(
@@ -291,17 +344,9 @@ fn open_source<'c>(
     cluster: &ClusterSpec,
 ) -> Result<Box<dyn JobSource + 'c>, CliError> {
     let kind = source_kind(inv, path)?;
-    let file = std::fs::File::open(path).map_err(|e| CliError::Io(path.to_string(), e))?;
-    let reader = std::io::BufReader::new(file);
+    let reader = open_file(path)?;
     Ok(match kind {
-        SourceKind::Swf => Box::new(swf::SwfSource::new(
-            reader,
-            catalog,
-            swf::SwfImportOptions {
-                cores_per_node: cluster.node.cores(),
-                ..Default::default()
-            },
-        )),
+        SourceKind::Swf => Box::new(swf::SwfSource::new(reader, catalog, swf_options(cluster))),
         SourceKind::Trace(format) => Box::new(ctrace::CTraceSource::new(
             reader,
             format,
@@ -320,51 +365,38 @@ fn build_workload(
     catalog: &AppCatalog,
     cluster: &ClusterSpec,
 ) -> Result<Workload, CliError> {
-    if inv.has("swf") && inv.has("source") {
-        return Err(CliError::Other(
-            "--swf and --source are mutually exclusive (both name a trace file)".into(),
-        ));
-    }
     if let Some(path) = inv.get("source") {
         // Only the `--materialize` paths reach here; streamed runs feed
-        // the engine directly and never build a Workload.
-        let mut source = open_source(inv, path, catalog, cluster)?;
-        let workload =
-            collect_source(source.as_mut()).map_err(|e| CliError::Other(format!("{path}: {e}")))?;
+        // the engine directly and never build a Workload. An SWF trace
+        // is read whole, so it need not be submit-sorted.
+        let workload = match source_kind(inv, path)? {
+            SourceKind::Swf => {
+                swf::read_to_workload(open_file(path)?, catalog, swf_options(cluster))
+                    .map(|(workload, _)| workload)
+            }
+            SourceKind::Trace(_) => {
+                collect_source(open_source(inv, path, catalog, cluster)?.as_mut())
+            }
+        }
+        .map_err(|e| CliError::Other(format!("{path}: {e}")))?;
         if workload.is_empty() {
             return Err(CliError::Other(format!("{path}: no usable jobs")));
         }
         return Ok(workload);
     }
-    if let Some(path) = inv.get("swf") {
-        let text = std::fs::read_to_string(path).map_err(|e| CliError::Io(path.to_string(), e))?;
-        let records = swf::parse(&text).map_err(|e| CliError::Other(e.to_string()))?;
-        let opts = swf::SwfImportOptions {
-            cores_per_node: cluster.node.cores(),
-            ..Default::default()
+    let preset_name = inv.get("preset").unwrap_or("saturated");
+    let preset = Preset::parse(preset_name)
+        .ok_or_else(|| CliError::Other(format!("unknown preset {preset_name:?}")))?;
+    let mut spec = preset.spec(catalog, inv.num("seed", 42u64)?);
+    spec.n_jobs = inv.num("jobs", 500usize)?;
+    if inv.has("rate") {
+        spec.arrival = ArrivalProcess::Poisson {
+            rate: inv.num("rate", 0.0080f64)?,
         };
-        let (workload, skipped) = swf::to_workload(&records, catalog, &opts);
-        if workload.is_empty() {
-            return Err(CliError::Other(format!(
-                "{path}: no usable jobs ({skipped} skipped)"
-            )));
-        }
-        Ok(workload)
-    } else {
-        let preset_name = inv.get("preset").unwrap_or("saturated");
-        let preset = Preset::parse(preset_name)
-            .ok_or_else(|| CliError::Other(format!("unknown preset {preset_name:?}")))?;
-        let mut spec = preset.spec(catalog, inv.num("seed", 42u64)?);
-        spec.n_jobs = inv.num("jobs", 500usize)?;
-        if inv.has("rate") {
-            spec.arrival = ArrivalProcess::Poisson {
-                rate: inv.num("rate", 0.0080f64)?,
-            };
-        }
-        spec.share_fraction = inv.num("share-fraction", 1.0f64)?;
-        spec.malleable_fraction = inv.num("malleable-fraction", 0.0f64)?;
-        Ok(spec.generate(catalog))
     }
+    spec.share_fraction = inv.num("share-fraction", 1.0f64)?;
+    spec.malleable_fraction = inv.num("malleable-fraction", 0.0f64)?;
+    Ok(spec.generate(catalog))
 }
 
 /// Options shared by `simulate` and `audit`.
@@ -374,7 +406,6 @@ const SIM_OPTIONS: &[&str] = &[
     "predictor",
     "conf",
     "nodes",
-    "swf",
     "source",
     "source-format",
     "materialize",
@@ -502,11 +533,6 @@ fn prepare_env(inv: &Invocation) -> Result<Env, CliError> {
     })
 }
 
-/// Jobs per chunk when an in-memory workload is streamed into the
-/// engine: the chunking `nodeshare_engine::run` uses, so the event-queue
-/// gauge in telemetry samples (which follows the chunking) matches it.
-const CHUNK_JOBS: usize = 8192;
-
 /// Runs the campaign `inv` names with one [`nodeshare_engine::simulate`]
 /// call. `--source` without `--materialize` streams the trace file
 /// through the engine chunk by chunk; everything else goes through an
@@ -529,7 +555,7 @@ fn run_campaign(
             workload = build_workload(inv, &env.catalog, &env.cluster)?;
             let stats = WorkloadStats::of(&workload).report(Some(&env.catalog));
             (
-                Box::new(workload.source(CHUNK_JOBS)),
+                Box::new(workload.source(STREAM_CHUNK_JOBS)),
                 format!("workload:\n{stats}"),
             )
         }
@@ -917,8 +943,9 @@ mod tests {
         assert!(out.contains("wrote 40 jobs"));
         let out = run_cli([
             "simulate",
-            "--swf",
+            "--source",
             path_str,
+            "--materialize",
             "--nodes",
             "64",
             "--strategy",
@@ -938,7 +965,6 @@ mod tests {
         run_cli(["workload", "--jobs", "60", "--seed", "9", "--out", swf_str]).unwrap();
         let streamed_csv = dir.join("streamed.csv");
         let materialized_csv = dir.join("materialized.csv");
-        let swf_csv = dir.join("swf.csv");
         let base = ["--nodes", "64", "--strategy", "easy"];
         let out = run_cli(
             [
@@ -970,25 +996,9 @@ mod tests {
             .collect::<Vec<_>>(),
         )
         .unwrap();
-        run_cli(
-            [
-                "simulate",
-                "--swf",
-                swf_str,
-                "--csv",
-                swf_csv.to_str().unwrap(),
-            ]
-            .into_iter()
-            .chain(base)
-            .map(str::to_string)
-            .collect::<Vec<_>>(),
-        )
-        .unwrap();
         let streamed = std::fs::read_to_string(&streamed_csv).unwrap();
         let materialized = std::fs::read_to_string(&materialized_csv).unwrap();
-        let via_swf = std::fs::read_to_string(&swf_csv).unwrap();
         assert_eq!(streamed, materialized, "streamed != materialized records");
-        assert_eq!(streamed, via_swf, "--source swf != legacy --swf records");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1013,8 +1023,8 @@ mod tests {
         assert!(run_cli(["simulate", "--jobs", "10", "--lean", "--csv", "/tmp/x.csv"]).is_err());
         // The auditor replays per-job records; lean has none.
         assert!(run_cli(["audit", "--jobs", "10", "--lean"]).is_err());
-        // Two trace files is ambiguous.
-        assert!(run_cli(["simulate", "--swf", "a.swf", "--source", "b.swf"]).is_err());
+        // `--source FILE --materialize` replaced the old `--swf FILE`.
+        assert!(run_cli(["simulate", "--swf", "a.swf"]).is_err());
         // Unknown dialect name, and an extension nothing can be inferred from.
         assert!(run_cli(["simulate", "--source", "t.csv", "--source-format", "borg"]).is_err());
         assert!(run_cli(["simulate", "--source", "trace.dat"]).is_err());
@@ -1252,8 +1262,11 @@ mod tests {
 
     #[test]
     fn missing_files_error_cleanly() {
-        let err = run_cli(["simulate", "--swf", "/nonexistent/trace.swf"]).unwrap_err();
-        assert!(matches!(err, CliError::Io(..)));
+        for mode in ["--lean", "--materialize"] {
+            let err =
+                run_cli(["simulate", "--source", "/nonexistent/trace.swf", mode]).unwrap_err();
+            assert!(matches!(err, CliError::Io(..)), "{mode}: {err}");
+        }
         let err = run_cli(["simulate", "--conf", "/nonexistent/slurm.conf"]).unwrap_err();
         assert!(matches!(err, CliError::Io(..)));
     }

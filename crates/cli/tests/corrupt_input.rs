@@ -1,5 +1,7 @@
 //! A corrupt trace file on `--source`: streamed and materialized runs
 //! fail with the same clean error naming the bad line, never a panic.
+//! An SWF trace out of submit order stops a streamed run at the line
+//! that breaks the order; `--materialize` reads it whole.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -61,4 +63,46 @@ fn streamed_source_error_exits_1_naming_the_line_once() {
             "{stderr}"
         );
     }
+}
+
+#[test]
+fn unsorted_swf_fails_streamed_and_runs_materialized() {
+    let path = fixture("unsorted.swf");
+    let out = Command::new(env!("CARGO_BIN_EXE_nodeshare"))
+        .args(["simulate", "--source", &path, "--strategy", "easy"])
+        .output()
+        .expect("nodeshare runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("line 4: submit 3282 goes back 226 s beyond the reorder window"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("--materialize"), "{stderr}");
+
+    let csv = std::env::temp_dir().join(format!("nodeshare_unsorted_{}.csv", std::process::id()));
+    let out = Command::new(env!("CARGO_BIN_EXE_nodeshare"))
+        .args([
+            "simulate",
+            "--source",
+            &path,
+            "--materialize",
+            "--strategy",
+            "easy",
+        ])
+        .arg("--csv")
+        .arg(&csv)
+        .output()
+        .expect("nodeshare runs");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let records = std::fs::read_to_string(&csv).expect("--csv written");
+    std::fs::remove_file(&csv).ok();
+    // A header plus one row per job: all six records completed.
+    assert_eq!(records.lines().count(), 7, "{records}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("jobs 6"));
 }

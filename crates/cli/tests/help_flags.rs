@@ -1,5 +1,6 @@
 //! `nodeshare --help` and `-h` print the usage text and succeed, like
-//! `nodeshare help`.
+//! `nodeshare help`; `nodeshare CMD --help` and `CMD -h` print CMD's
+//! usage and succeed too.
 
 use std::process::Command;
 
@@ -18,5 +19,46 @@ fn help_flags_print_usage_and_exit_0() {
             String::from_utf8_lossy(&out.stderr)
         );
         assert!(stdout.contains("USAGE"), "{flag}: {stdout}");
+    }
+}
+
+#[test]
+fn subcommand_help_prints_its_usage_and_exits_0() {
+    for (command, section) in [
+        ("simulate", "SIMULATE OPTIONS"),
+        ("metrics", "TELEMETRY OPTIONS"),
+        ("audit", "AUDIT OPTIONS"),
+        ("report", "REPORT OPTIONS"),
+        ("workload", "WORKLOAD OPTIONS"),
+    ] {
+        for flag in ["--help", "-h"] {
+            let out = Command::new(env!("CARGO_BIN_EXE_nodeshare"))
+                .args([command, flag])
+                .output()
+                .expect("nodeshare runs");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert_eq!(
+                out.status.code(),
+                Some(0),
+                "{command} {flag}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert!(
+                stdout.starts_with(&format!("nodeshare {command} ")),
+                "{command} {flag}: {stdout}"
+            );
+            assert!(stdout.contains(section), "{command} {flag}: {stdout}");
+        }
+    }
+}
+
+#[test]
+fn other_usage_errors_still_exit_1() {
+    for argv in [&["simulate", "--bogus"][..], &["frobnicate", "--help"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_nodeshare"))
+            .args(argv)
+            .output()
+            .expect("nodeshare runs");
+        assert_eq!(out.status.code(), Some(1), "{argv:?}");
     }
 }

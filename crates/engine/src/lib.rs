@@ -53,6 +53,7 @@ pub use outcome::SimOutcome;
 pub use progress::RunningJob;
 pub use sim::{
     first_idle_nodes, run, run_streamed, run_streamed_traced, simulate, Observe, SimConfig,
+    STREAM_CHUNK_JOBS,
 };
 pub use telemetry::{SchedTelemetry, SimTelemetry, TelemetrySample};
 pub use trace::{DecisionTrace, DownCause, StartReason, TraceEvent};

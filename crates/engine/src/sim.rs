@@ -91,10 +91,12 @@ impl SimConfig {
     }
 }
 
-/// Jobs per chunk when [`run`] streams an in-memory [`Workload`] through
-/// the engine: large enough to amortize refill bookkeeping, small enough
-/// that the pending buffer stays cache-resident.
-const STREAM_CHUNK_JOBS: usize = 8192;
+/// Jobs per chunk when an in-memory [`Workload`] is streamed through the
+/// engine ([`run`], campaign cells, the CLI): large enough to amortize
+/// refill bookkeeping, small enough that the pending buffer stays
+/// cache-resident. The event-queue gauge in telemetry samples follows
+/// the chunking, so every caller uses this one value.
+pub const STREAM_CHUNK_JOBS: usize = 8192;
 
 /// What a [`simulate`] call observes besides the outcome. The default
 /// observes nothing. Observers are read-only: no combination changes a

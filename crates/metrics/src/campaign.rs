@@ -87,7 +87,7 @@ impl CampaignMetrics {
         let work_core_seconds: f64 = records
             .iter()
             .map(|r| r.work_done_node_seconds() * cores_per_node)
-            // detlint: allow(D4, records are in canonical job order after the OrderedTable merge; serial sum is deterministic)
+            // detlint: allow(D4, the engine emits records sorted by job id; serial sum is deterministic)
             .sum();
         let total_core_time = makespan * spec.total_cores() as f64;
 

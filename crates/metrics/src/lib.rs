@@ -13,14 +13,11 @@
 //! * [`series`] — exact step-function time series (occupancy
 //!   integration),
 //! * [`fairness`] — per-user/per-app outcome groups and Jain's index,
-//! * [`ordered`] — deterministic merge of out-of-order campaign-cell
-//!   results ([`OrderedMerge`], [`OrderedTable`]),
 //! * [`table`] — text/CSV renderers used by every experiment binary.
 
 pub mod campaign;
 pub mod fairness;
 pub mod histogram;
-pub mod ordered;
 pub mod record;
 pub mod series;
 pub mod stats;
@@ -29,7 +26,6 @@ pub mod table;
 pub use campaign::CampaignMetrics;
 pub use fairness::{by_app, by_user, jain_index, user_slowdown_fairness, GroupOutcome};
 pub use histogram::{Buckets, Histogram};
-pub use ordered::{OrderedMerge, OrderedTable};
 pub use record::JobRecord;
 pub use series::{StepAccum, StepSeries};
 pub use stats::{mean, percentile_sorted, relative_gain, Summary};

@@ -131,17 +131,6 @@ pub fn parse_line(lineno: usize, line: &str) -> Result<Option<SwfRecord>, SwfErr
     }))
 }
 
-/// Parses SWF text (comments and blank lines skipped).
-pub fn parse(text: &str) -> Result<Vec<SwfRecord>, SwfError> {
-    let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if let Some(rec) = parse_line(lineno + 1, line)? {
-            out.push(rec);
-        }
-    }
-    Ok(out)
-}
-
 /// Options controlling SWF → [`Workload`] conversion.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SwfImportOptions {
@@ -166,9 +155,9 @@ impl Default for SwfImportOptions {
 
 /// Converts one record into a [`JobSpec`] with id `next_id` (advanced on
 /// success), or `None` for records with unusable sizes, runtimes, or
-/// submit times. Both the materialized [`to_workload`] and the streaming
-/// [`SwfSource`] go through this function — ids are assigned in *file
-/// order* either way, which is what makes the two paths bit-identical.
+/// submit times. [`SwfSource`] — and through it [`read_to_workload`] —
+/// assigns ids in *file order*, so a streamed and a materialized read
+/// of one file agree job for job.
 pub fn record_to_spec(
     r: &SwfRecord,
     next_id: &mut u64,
@@ -220,31 +209,6 @@ pub fn record_to_spec(
     })
 }
 
-/// Converts parsed records into a workload, mapping each record's
-/// executable number onto the catalog (stable modulo mapping). Records
-/// with unusable sizes or runtimes (≤ 0) are skipped; the count of skipped
-/// records is returned alongside.
-pub fn to_workload(
-    records: &[SwfRecord],
-    catalog: &AppCatalog,
-    opts: &SwfImportOptions,
-) -> (Workload, usize) {
-    let mut jobs = Vec::with_capacity(records.len());
-    let mut skipped = 0usize;
-    let mut next_id = 0u64;
-    for r in records {
-        match record_to_spec(r, &mut next_id, catalog, opts) {
-            Some(spec) => jobs.push(spec),
-            None => skipped += 1,
-        }
-    }
-    (
-        // detlint: allow(D5, invariant stated in the expect message; violating it is a bug, not a recoverable state)
-        Workload::new(jobs).expect("imported jobs are validated above"),
-        skipped,
-    )
-}
-
 /// How many input lines a streaming trace source parses per
 /// [`JobSource::next_chunk`] round before draining the reorder buffer.
 pub(crate) const STREAM_BATCH_LINES: usize = 4096;
@@ -252,12 +216,13 @@ pub(crate) const STREAM_BATCH_LINES: usize = 4096;
 /// Streams an SWF trace line by line through the [`JobSource`] contract,
 /// never materializing the file.
 ///
-/// Ids are assigned in file order (exactly as [`to_workload`]), and jobs
-/// are released in `(submit, id)` order through a [`ReorderBuffer`] — so
-/// for any trace whose submit jitter fits the window, a streamed run is
-/// bit-identical to materializing the file first. The default window is
-/// 0: SWF convention is submit-sorted, and a violation is reported as an
-/// error naming the line rather than silently misordering.
+/// Ids are assigned in file order, and jobs are released in
+/// `(submit, id)` order through a [`ReorderBuffer`] — so for any trace
+/// whose submit jitter fits the window, a streamed run is bit-identical
+/// to materializing the file first ([`read_to_workload`]). The default
+/// window is 0: SWF convention is submit-sorted, and a violation is
+/// reported as an error naming the line rather than silently
+/// misordering.
 pub struct SwfSource<'c, R> {
     reader: R,
     catalog: &'c AppCatalog,
@@ -299,7 +264,7 @@ impl<'c, R: BufRead> SwfSource<'c, R> {
     }
 
     /// Records skipped so far for unusable sizes/runtimes (the
-    /// [`to_workload`] skip rule).
+    /// [`record_to_spec`] skip rule).
     pub fn skipped(&self) -> usize {
         self.skipped
     }
@@ -330,7 +295,7 @@ impl<'c, R: BufRead> SwfSource<'c, R> {
                         self.lineno,
                         format!(
                             "submit {submit} goes back {lateness} s beyond the reorder \
-                             window — pass a larger window for this trace"
+                             window — pass --materialize to read this trace whole"
                         ),
                     )
                 })?;
@@ -361,6 +326,21 @@ impl<R: BufRead> JobSource for SwfSource<'_, R> {
         self.rb.drain_all(out);
         Ok(None)
     }
+}
+
+/// Materializes a whole SWF trace (`--materialize`, tests, examples):
+/// an [`SwfSource`] whose reorder window covers every submit time, so a
+/// trace out of submit order is sorted rather than refused —
+/// materializing holds every job anyway. Returns the workload and the
+/// skipped-record count.
+pub fn read_to_workload<R: BufRead>(
+    reader: R,
+    catalog: &AppCatalog,
+    opts: SwfImportOptions,
+) -> Result<(Workload, usize), SourceError> {
+    let mut src = SwfSource::with_reorder_window(reader, catalog, opts, Seconds::MAX);
+    let workload = crate::source::collect_source(&mut src)?;
+    Ok((workload, src.skipped()))
 }
 
 /// Serializes a workload to SWF text (with a descriptive comment header).
@@ -404,9 +384,22 @@ mod tests {
 3 60 0 -1 16 -1 -1 16 600 -1 0 7 -1 1 -1 -1 -1 -1
 ";
 
+    /// The data records of `text`, parsed line by line.
+    fn records(text: &str) -> Vec<SwfRecord> {
+        text.lines()
+            .enumerate()
+            .filter_map(|(i, line)| parse_line(i + 1, line).unwrap())
+            .collect()
+    }
+
+    fn materialize(text: &str) -> (Workload, usize) {
+        let catalog = AppCatalog::trinity();
+        read_to_workload(text.as_bytes(), &catalog, SwfImportOptions::default()).unwrap()
+    }
+
     #[test]
     fn parses_sample_records() {
-        let recs = parse(SAMPLE).unwrap();
+        let recs = records(SAMPLE);
         assert_eq!(recs.len(), 3);
         assert_eq!(recs[0].job, 1);
         assert_eq!(recs[0].run_time, 3600);
@@ -417,17 +410,15 @@ mod tests {
 
     #[test]
     fn rejects_malformed_lines() {
-        let err = parse("1 2 3\n").unwrap_err();
+        let err = parse_line(1, "1 2 3\n").unwrap_err();
         assert_eq!(err, SwfError::TooFewFields { line: 1, found: 3 });
-        let err = parse("1 x 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18\n").unwrap_err();
+        let err = parse_line(1, "1 x 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18\n").unwrap_err();
         assert!(matches!(err, SwfError::BadField { field: 2, .. }));
     }
 
     #[test]
     fn conversion_skips_unusable_records() {
-        let catalog = AppCatalog::trinity();
-        let recs = parse(SAMPLE).unwrap();
-        let (w, skipped) = to_workload(&recs, &catalog, &SwfImportOptions::default());
+        let (w, skipped) = materialize(SAMPLE);
         assert_eq!(w.len(), 2); // record 3 has run_time = -1
         assert_eq!(skipped, 1);
         let j = &w.jobs()[0];
@@ -439,9 +430,7 @@ mod tests {
 
     #[test]
     fn estimate_never_below_runtime_on_import() {
-        let catalog = AppCatalog::trinity();
-        let recs = parse("1 0 -1 5000 32 -1 -1 32 100 -1 1 0 -1 0 -1 -1 -1 -1\n").unwrap();
-        let (w, _) = to_workload(&recs, &catalog, &SwfImportOptions::default());
+        let (w, _) = materialize("1 0 -1 5000 32 -1 -1 32 100 -1 1 0 -1 0 -1 -1 -1 -1\n");
         assert!(w.jobs()[0].walltime_estimate >= w.jobs()[0].runtime_exclusive);
     }
 
@@ -451,15 +440,15 @@ mod tests {
         let spec = WorkloadSpec::evaluation(&catalog, 9);
         let original = spec.generate(&catalog);
         let text = write(&original, 32);
-        let recs = parse(&text).unwrap();
-        let (reimported, skipped) = to_workload(
-            &recs,
+        let (reimported, skipped) = read_to_workload(
+            text.as_bytes(),
             &catalog,
-            &SwfImportOptions {
+            SwfImportOptions {
                 cores_per_node: 32,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         assert_eq!(skipped, 0);
         assert_eq!(reimported.len(), original.len());
         for (a, b) in original.jobs().iter().zip(reimported.jobs()) {
@@ -482,13 +471,13 @@ mod tests {
             &WorkloadSpec::evaluation(&catalog, 9).generate(&catalog),
             32,
         );
-        let (materialized, skipped) = to_workload(&parse(&text).unwrap(), &catalog, &opts);
+        let (materialized, skipped) = materialize(&text);
         let mut src = SwfSource::new(text.as_bytes(), &catalog, opts);
         let streamed = crate::source::collect_source(&mut src).unwrap();
         assert_eq!(streamed, materialized);
         assert_eq!(src.skipped(), skipped);
         // The small sample with a skipped record.
-        let (materialized, skipped) = to_workload(&parse(SAMPLE).unwrap(), &catalog, &opts);
+        let (materialized, skipped) = materialize(SAMPLE);
         let mut src = SwfSource::new(SAMPLE.as_bytes(), &catalog, opts);
         let streamed = crate::source::collect_source(&mut src).unwrap();
         assert_eq!(streamed, materialized);
@@ -504,7 +493,7 @@ mod tests {
 2 90 -1 600 32 -1 -1 32 900 -1 1 0 -1 0 -1 -1 -1 -1
 3 120 -1 600 32 -1 -1 32 900 -1 1 0 -1 0 -1 -1 -1 -1
 ";
-        let (materialized, _) = to_workload(&parse(text).unwrap(), &catalog, &opts);
+        let (materialized, _) = materialize(text);
         let mut src = SwfSource::with_reorder_window(text.as_bytes(), &catalog, opts, 30.0);
         let streamed = crate::source::collect_source(&mut src).unwrap();
         assert_eq!(streamed, materialized);
@@ -522,6 +511,12 @@ mod tests {
         let err = crate::source::collect_source(&mut src).unwrap_err();
         assert_eq!(err.line, Some(2));
         assert!(err.message.contains("reorder"), "{}", err.message);
+        assert!(err.message.contains("--materialize"), "{}", err.message);
+        // Materializing reads the same trace whole, in submit order,
+        // with ids in file order.
+        let (w, _) = materialize(text);
+        let order: Vec<(f64, u64)> = w.jobs().iter().map(|j| (j.submit, j.id.0)).collect();
+        assert_eq!(order, [(90.0, 1), (100.0, 0)]);
     }
 
     #[test]
@@ -542,7 +537,7 @@ mod tests {
                 "line 1: field 2: cannot parse \"x\"",
             ),
         ] {
-            let shown = SourceError::from(parse(text).unwrap_err()).to_string();
+            let shown = SourceError::from(parse_line(1, text).unwrap_err()).to_string();
             assert_eq!(shown, want);
             assert_eq!(shown.matches("line ").count(), 1, "{shown}");
         }
@@ -551,8 +546,7 @@ mod tests {
     #[test]
     fn negative_executable_maps_by_job_number() {
         let catalog = AppCatalog::trinity();
-        let recs = parse("7 0 -1 100 32 -1 -1 32 200 -1 1 0 -1 -1 -1 -1 -1 -1\n").unwrap();
-        let (w, _) = to_workload(&recs, &catalog, &SwfImportOptions::default());
+        let (w, _) = materialize("7 0 -1 100 32 -1 -1 32 200 -1 1 0 -1 -1 -1 -1 -1 -1\n");
         assert_eq!(w.jobs()[0].app, AppId((7 % catalog.len()) as u8));
     }
 }

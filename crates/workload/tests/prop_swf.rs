@@ -1,5 +1,5 @@
 //! Property tests: SWF serialization round-trips arbitrary valid
-//! workloads, and the parser never panics on arbitrary text.
+//! workloads, and the reader never panics on arbitrary text.
 
 use nodeshare_cluster::JobId;
 use nodeshare_perf::{AppCatalog, AppId};
@@ -20,7 +20,7 @@ fn job_strategy() -> impl Strategy<Value = (u32, f64, f64, f64, u8, u32)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Write → parse → import preserves every field SWF can carry.
+    /// Write → read preserves every field SWF can carry.
     #[test]
     fn roundtrip_preserves_fields(raw in prop::collection::vec(job_strategy(), 1..40)) {
         let catalog = AppCatalog::trinity();
@@ -43,16 +43,15 @@ proptest! {
         let workload = Workload::new(jobs).unwrap();
         let cores_per_node = 32;
         let text = swf::write(&workload, cores_per_node);
-        let records = swf::parse(&text).unwrap();
-        prop_assert_eq!(records.len(), workload.len());
-        let (back, skipped) = swf::to_workload(
-            &records,
+        let (back, skipped) = swf::read_to_workload(
+            text.as_bytes(),
             &catalog,
-            &swf::SwfImportOptions {
+            swf::SwfImportOptions {
                 cores_per_node,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap();
         prop_assert_eq!(skipped, 0);
         prop_assert_eq!(back.len(), workload.len());
         for (a, b) in workload.jobs().iter().zip(back.jobs()) {
@@ -65,10 +64,14 @@ proptest! {
         }
     }
 
-    /// The parser returns Ok or Err but never panics, on arbitrary junk.
+    /// The reader returns Ok or Err but never panics, on arbitrary junk.
     #[test]
     fn parser_never_panics(text in "(?s).{0,400}") {
-        let _ = swf::parse(&text);
+        let _ = swf::read_to_workload(
+            text.as_bytes(),
+            &AppCatalog::trinity(),
+            swf::SwfImportOptions::default(),
+        );
     }
 
     /// Lines of arbitrary integers with ≥18 fields always parse.
@@ -79,9 +82,10 @@ proptest! {
             .map(i64::to_string)
             .collect::<Vec<_>>()
             .join(" ");
-        let parsed = swf::parse(&line).unwrap();
-        prop_assert_eq!(parsed.len(), 1);
-        prop_assert_eq!(parsed[0].job, fields[0]);
-        prop_assert_eq!(parsed[0].submit, fields[1]);
+        let parsed = swf::parse_line(1, &line).unwrap();
+        prop_assert!(parsed.is_some());
+        let record = parsed.unwrap();
+        prop_assert_eq!(record.job, fields[0]);
+        prop_assert_eq!(record.submit, fields[1]);
     }
 }

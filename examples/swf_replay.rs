@@ -41,15 +41,15 @@ fn main() {
         }
     };
 
-    let records = swf::parse(&text).expect("valid SWF");
     let opts = swf::SwfImportOptions {
         cores_per_node,
         ..Default::default()
     };
-    let (workload, skipped) = swf::to_workload(&records, &catalog, &opts);
+    let (workload, skipped) =
+        swf::read_to_workload(text.as_bytes(), &catalog, opts).expect("valid SWF");
     println!(
         "parsed {} records -> {} jobs ({} skipped), {:.0} node-hours of work\n",
-        records.len(),
+        workload.len() + skipped,
         workload.len(),
         skipped,
         workload.total_work_node_seconds() / 3600.0

@@ -55,14 +55,15 @@ fn workload_survives_swf_round_trip_through_simulation() {
 
     // Round-trip through SWF text.
     let text = swf::write(&original, cluster.node.cores());
-    let (reimported, skipped) = swf::to_workload(
-        &swf::parse(&text).unwrap(),
+    let (reimported, skipped) = swf::read_to_workload(
+        text.as_bytes(),
         &catalog,
-        &swf::SwfImportOptions {
+        swf::SwfImportOptions {
             cores_per_node: cluster.node.cores(),
             ..Default::default()
         },
-    );
+    )
+    .unwrap();
     assert_eq!(skipped, 0);
 
     // Same structure simulated under the same exclusive policy gives the
