@@ -1,8 +1,8 @@
 //! `nodeshare --help` and `-h` print the usage text and succeed, like
 //! `nodeshare help`; `nodeshare CMD --help` and `CMD -h` print CMD's
-//! usage and succeed too.
+//! usage and succeed too, even when the reader of stdout is gone.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 #[test]
 fn help_flags_print_usage_and_exit_0() {
@@ -61,4 +61,19 @@ fn other_usage_errors_still_exit_1() {
             .expect("nodeshare runs");
         assert_eq!(out.status.code(), Some(1), "{argv:?}");
     }
+}
+
+#[test]
+fn closed_stdout_exits_0_without_a_panic() {
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_nodeshare"))
+        .args(["simulate", "-h"])
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("nodeshare runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -108,7 +108,10 @@ struct NodeClass {
 /// together with the process-unique [`Cluster::instance_id`], `(instance,
 /// version)` identifies one exact occupancy state, which lets schedulers
 /// cache derived planning state and invalidate it by events instead of
-/// recomputing it every pass.
+/// recomputing it every pass. Each node also records the version its last
+/// mutation produced, so a cache kept per node can ask which nodes
+/// [changed since](Cluster::changed_since) the version it last saw and
+/// re-derive only those.
 #[derive(Debug)]
 pub struct Cluster {
     spec: ClusterSpec,
@@ -120,6 +123,9 @@ pub struct Cluster {
     /// `lane_buckets[f]` = partial nodes with exactly `f` free lanes.
     lane_buckets: Vec<BTreeSet<NodeId>>,
     class: Vec<NodeClass>,
+    /// `changed_at[n]` = the version the last mutation of node `n`
+    /// produced (0 if it was never mutated).
+    changed_at: Vec<u64>,
     occupied_nodes: usize,
     shared_nodes: usize,
     version: u64,
@@ -140,6 +146,7 @@ impl Clone for Cluster {
             partial: self.partial.clone(),
             lane_buckets: self.lane_buckets.clone(),
             class: self.class.clone(),
+            changed_at: self.changed_at.clone(),
             occupied_nodes: self.occupied_nodes,
             shared_nodes: self.shared_nodes,
             version: self.version,
@@ -169,6 +176,7 @@ impl Cluster {
             .collect();
         let idle = nodes.iter().map(Node::id).collect();
         let class = vec![NodeClass::default(); nodes.len()];
+        let changed_at = vec![0; nodes.len()];
         Cluster {
             spec,
             nodes,
@@ -178,6 +186,7 @@ impl Cluster {
             partial: BTreeSet::new(),
             lane_buckets: vec![BTreeSet::new(); spec.node.smt as usize + 1],
             class,
+            changed_at,
             occupied_nodes: 0,
             shared_nodes: 0,
             version: 0,
@@ -231,6 +240,13 @@ impl Cluster {
         self.partial.iter().copied()
     }
 
+    /// Whether `id` is a co-allocation candidate (one of
+    /// [`Cluster::partial_nodes`]), in O(1).
+    #[inline]
+    pub fn is_partial(&self, id: NodeId) -> bool {
+        self.class.get(id.index()).is_some_and(|c| c.bucket > 0)
+    }
+
     /// Number of co-allocation candidate nodes.
     #[inline]
     pub fn partial_count(&self) -> usize {
@@ -271,6 +287,18 @@ impl Cluster {
     #[inline]
     pub fn instance_id(&self) -> u64 {
         self.instance
+    }
+
+    /// Nodes whose state changed after [`Cluster::version`] was
+    /// `version`, in id order: every node a later successful mutation
+    /// touched. A cache derived per node at `version` (of this
+    /// [`Cluster::instance_id`]) needs re-deriving for exactly these.
+    pub fn changed_since(&self, version: u64) -> impl Iterator<Item = NodeId> + '_ {
+        self.changed_at
+            .iter()
+            .enumerate()
+            .filter(move |&(_, &v)| v > version)
+            .map(|(i, _)| NodeId(i as u32))
     }
 
     /// The `(instance, version)` invalidation stamp as one value — the
@@ -327,7 +355,11 @@ impl Cluster {
         Ok(())
     }
 
+    /// Re-derives the indices of `id` after a mutation of it, and stamps
+    /// it with the version that mutation produces (every caller bumps
+    /// the version once it succeeds).
     fn refresh_index(&mut self, id: NodeId) {
+        self.changed_at[id.index()] = self.version + 1;
         let node = &self.nodes[id.index()];
         let up = node.admin_state() == AdminState::Up;
         let idle = node.is_idle();
@@ -860,6 +892,68 @@ mod tests {
         assert_eq!(s.shared_allocs, 1);
         assert_eq!(s.failed_allocs, 1);
         assert_eq!(s.releases, 1);
+        c.check_invariants().unwrap();
+    }
+
+    /// The nodes `op` marked as changed.
+    fn marks(c: &mut Cluster, op: impl FnOnce(&mut Cluster)) -> Vec<u32> {
+        let before = c.version();
+        op(c);
+        c.changed_since(before).map(|n| n.0).collect()
+    }
+
+    #[test]
+    fn mutations_mark_exactly_the_nodes_they_touch() {
+        let mut c = Cluster::new(ClusterSpec::new(6, NodeSpec::tiny()));
+        assert_eq!(c.changed_since(0).count(), 0, "a new cluster marks nothing");
+        let excl = |c: &mut Cluster| {
+            c.allocate_exclusive(JobId(1), &[NodeId(3), NodeId(1)], 0)
+                .unwrap();
+        };
+        assert_eq!(marks(&mut c, excl), [1, 3]);
+        let shared = |c: &mut Cluster| {
+            c.allocate_shared(JobId(2), &[NodeId(0), NodeId(2)], 0)
+                .unwrap();
+        };
+        assert_eq!(marks(&mut c, shared), [0, 2]);
+        let stack = |c: &mut Cluster| {
+            c.allocate_shared(JobId(3), &[NodeId(4), NodeId(2)], 0)
+                .unwrap();
+        };
+        assert_eq!(marks(&mut c, stack), [2, 4]);
+        assert_eq!(
+            marks(&mut c, |c| drop(c.release(JobId(2)).unwrap())),
+            [0, 2]
+        );
+        assert_eq!(marks(&mut c, |c| c.drain(NodeId(5)).unwrap()), [5]);
+        assert_eq!(marks(&mut c, |c| c.resume(NodeId(5)).unwrap()), [5]);
+        assert_eq!(marks(&mut c, |c| c.set_down(NodeId(0)).unwrap()), [0]);
+        // Failures change no node, so they mark none (nor bump the version).
+        let v = c.version();
+        let busy = |c: &mut Cluster| {
+            c.allocate_exclusive(JobId(4), &[NodeId(5), NodeId(1)], 0)
+                .unwrap_err();
+        };
+        assert_eq!(marks(&mut c, busy), [] as [u32; 0]);
+        let occupied = |c: &mut Cluster| {
+            c.set_down(NodeId(4)).unwrap_err();
+        };
+        assert_eq!(marks(&mut c, occupied), [] as [u32; 0]);
+        assert_eq!(c.version(), v);
+        // A node changed twice between two looks is listed once.
+        let twice = |c: &mut Cluster| {
+            c.allocate_exclusive(JobId(5), &[NodeId(5)], 0).unwrap();
+            c.release(JobId(5)).unwrap();
+        };
+        assert_eq!(marks(&mut c, twice), [5]);
+        assert_eq!(
+            c.changed_since(0).map(|n| n.0).collect::<Vec<_>>(),
+            [0, 1, 2, 3, 4, 5]
+        );
+        // A clone keeps the marks under its own instance id.
+        let copy = c.clone();
+        assert_ne!(copy.instance_id(), c.instance_id());
+        assert!(copy.changed_since(3).eq(c.changed_since(3)));
         c.check_invariants().unwrap();
     }
 

@@ -9,10 +9,22 @@
 //! The [`Planner`] keeps the derived state and invalidates it by *events*
 //! instead of recomputing it per pass:
 //!
-//! * **Version-keyed caches** — partial-node info (residents, memory,
-//!   eligibility) and raw node free times are rebuilt only when the
-//!   cluster's `(instance, version)` key changes, i.e. when an allocation
-//!   actually happened.
+//! * **Per-node tables, re-derived where the cluster changed** — the
+//!   partial-node facts (residents, memory, eligibility) and the raw free
+//!   time of every node sit in one slot per node. When the cluster's
+//!   `(instance, version)` stamp moves, a table re-derives only the nodes
+//!   the cluster [marked as changed](nodeshare_cluster::Cluster::changed_since)
+//!   since the stamp it last saw and keeps every other slot; the first
+//!   pass, or a new cluster instance, is the same update with every node
+//!   dirty. This rests on one invariant of the engine: every change to a
+//!   running job's [`RunningSummary`](nodeshare_engine::RunningSummary) —
+//!   a start, a finish, a reshape or a requeue — comes with a cluster
+//!   mutation of that job's nodes, so a node the cluster did not mark
+//!   derives exactly what it derived before. (Invalidating the whole
+//!   cache by the stamp assumed the same for the cluster as a whole.)
+//!   Debug builds check every update against the every-node-dirty one.
+//!   The free-time table is brought up to date only when a reservation is
+//!   computed, so a policy that never reserves never pays for it.
 //! * **Reservation as a bitset** — the head reservation is a shadow time
 //!   plus a `Vec<bool>` over node ids, computed once per pass with a
 //!   selection (not a full sort) over the cached free times.
@@ -41,14 +53,14 @@
 use crate::pairing::Pairing;
 use crate::pairtab::PairingTable;
 use crate::util::PLAN_EPS;
-use nodeshare_cluster::{AdminState, JobId, NodeId};
+use nodeshare_cluster::{AdminState, Cluster, JobId, NodeId};
 use nodeshare_engine::SchedContext;
 use nodeshare_perf::AppId;
 use nodeshare_workload::JobSpec;
 use std::collections::HashSet;
 
 /// One resident of a partial node, denormalized from the running map.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Resident {
     job: JobId,
     app: AppId,
@@ -56,44 +68,240 @@ struct Resident {
     nodes: u32,
 }
 
-/// Cached per-partial-node planning facts (residents live in the flat
-/// `Planner::residents` arena to keep the rebuild allocation-free).
-#[derive(Clone, Copy, Debug)]
+/// The content of an unused resident slot.
+const VACANT: Resident = Resident {
+    job: JobId(0),
+    app: AppId(0),
+    est_end: 0.0,
+    nodes: 0,
+};
+
+/// A planning table derived node by node from the cluster and the
+/// running map.
+trait NodeTable: Default + PartialEq + std::fmt::Debug {
+    /// Sizes the table for `cluster` with no node derived yet.
+    fn reset(&mut self, cluster: &Cluster);
+    /// Re-derives the slot of node `id` from the context.
+    fn derive(&mut self, ctx: &SchedContext<'_>, id: NodeId);
+}
+
+/// A [`NodeTable`] with the cluster stamp it was last derived at.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Synced<T> {
+    seen: Option<(u64, u64)>,
+    table: T,
+}
+
+impl<T> std::ops::Deref for Synced<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.table
+    }
+}
+
+impl<T: NodeTable> Synced<T> {
+    /// Brings the table up to date with `ctx`; returns whether the
+    /// cluster changed since the table last saw it. `dirty` is scratch.
+    fn sync(&mut self, ctx: &SchedContext<'_>, dirty: &mut Vec<NodeId>) -> bool {
+        if self.seen == Some(ctx.cluster.stamp()) {
+            return false;
+        }
+        self.update(ctx, dirty);
+        #[cfg(debug_assertions)]
+        {
+            let mut full = Self::default();
+            full.update(ctx, dirty);
+            assert_eq!(
+                *self, full,
+                "per-node update differs from the every-node-dirty one: \
+                 a running job changed without a cluster mutation of its nodes"
+            );
+        }
+        true
+    }
+
+    /// Re-derives the nodes the cluster changed since the stamp seen
+    /// last — every node when that stamp belongs to another cluster
+    /// instance, or when there is none — and keeps every other slot.
+    fn update(&mut self, ctx: &SchedContext<'_>, dirty: &mut Vec<NodeId>) {
+        let (instance, version) = ctx.cluster.stamp();
+        dirty.clear();
+        match self.seen {
+            Some((seen, since)) if seen == instance => {
+                dirty.extend(ctx.cluster.changed_since(since));
+            }
+            _ => {
+                self.table.reset(ctx.cluster);
+                dirty.extend((0..ctx.cluster.node_count() as u32).map(NodeId));
+            }
+        }
+        for &id in dirty.iter() {
+            self.table.derive(ctx, id);
+        }
+        self.seen = Some((instance, version));
+    }
+}
+
+/// Cached planning facts of one node as a co-allocation candidate. Its
+/// residents fill the first `res_len` of the node's `smt` slots in
+/// [`PartialTable::residents`]; a node that is not partial keeps the
+/// default slot.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct PartialInfo {
-    node: NodeId,
+    /// The node is partial: up, occupied, and with a free lane.
+    partial: bool,
     mem_free: u64,
     /// Every resident is known to the running map and share-eligible —
     /// the per-resident preconditions that do not depend on the candidate.
     eligible: bool,
-    res_start: u32,
     res_len: u32,
 }
 
-/// One app's pairing order over the cached partials: indices into
-/// `Planner::partials`, best score first, ties by node id.
+/// The partial-node facts of every node, by node id.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct PartialTable {
+    slots: Vec<PartialInfo>,
+    /// `smt` slots per node, node-major; unused slots hold [`VACANT`].
+    residents: Vec<Resident>,
+    smt: usize,
+    /// Partial nodes.
+    count: usize,
+    /// Eligible partial nodes.
+    eligible: usize,
+    /// Ascending `mem_free` of all partial nodes, for the memo key's
+    /// memory-threshold rank.
+    mem_sorted: Vec<u64>,
+}
+
+impl PartialTable {
+    /// The cached residents of node `i`, in lane order.
+    fn residents(&self, i: usize) -> &[Resident] {
+        let at = i * self.smt;
+        &self.residents[at..at + self.slots[i].res_len as usize]
+    }
+}
+
+impl NodeTable for PartialTable {
+    fn reset(&mut self, cluster: &Cluster) {
+        let n = cluster.node_count();
+        self.smt = usize::from(cluster.spec().node.smt);
+        self.slots.clear();
+        self.slots.resize(n, PartialInfo::default());
+        self.residents.clear();
+        self.residents.resize(n * self.smt, VACANT);
+        self.count = 0;
+        self.eligible = 0;
+        self.mem_sorted.clear();
+    }
+
+    fn derive(&mut self, ctx: &SchedContext<'_>, id: NodeId) {
+        let i = id.index();
+        let old = self.slots[i];
+        if old.partial {
+            self.count -= 1;
+            self.eligible -= old.eligible as usize;
+            let at = self.mem_sorted.partition_point(|&m| m < old.mem_free);
+            debug_assert_eq!(self.mem_sorted[at], old.mem_free);
+            self.mem_sorted.remove(at);
+        }
+        let base = i * self.smt;
+        let mut new = PartialInfo::default();
+        if ctx.cluster.is_partial(id) {
+            // detlint: allow(D5, invariant stated in the expect message; violating it is a bug, not a recoverable state)
+            let node = ctx.cluster.node(id).expect("a partial node exists");
+            let mut len = 0;
+            let mut eligible = true;
+            // A partial node has a free lane, so fewer than `smt` distinct
+            // residents.
+            for j in node.lane_owners() {
+                if self.residents[base..base + len].iter().any(|r| r.job == j) {
+                    continue;
+                }
+                match ctx.running.get(&j) {
+                    Some(r) if r.share_eligible => {
+                        self.residents[base + len] = Resident {
+                            job: j,
+                            app: r.app,
+                            est_end: r.est_end(),
+                            nodes: r.nodes,
+                        };
+                        len += 1;
+                    }
+                    // Unknown or non-eligible resident: the node can never
+                    // host a co-runner, whatever the candidate.
+                    _ => {
+                        eligible = false;
+                        break;
+                    }
+                }
+            }
+            new = PartialInfo {
+                partial: true,
+                mem_free: node.mem_free(),
+                eligible,
+                res_len: if eligible { len as u32 } else { 0 },
+            };
+            self.count += 1;
+            self.eligible += eligible as usize;
+            let at = self.mem_sorted.partition_point(|&m| m < new.mem_free);
+            self.mem_sorted.insert(at, new.mem_free);
+        }
+        self.residents[base + new.res_len as usize..base + self.smt].fill(VACANT);
+        self.slots[i] = new;
+    }
+}
+
+/// Raw free time of every node, by node id: the max `est_end` of its
+/// lane owners, or −∞ when idle (clamped to `now` at reservation time,
+/// matching the reference fold that starts at `now`); `None` when the
+/// node is not up.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct FreeTimes {
+    raw: Vec<Option<f64>>,
+    /// Up nodes: the `Some` slots.
+    up: usize,
+}
+
+impl NodeTable for FreeTimes {
+    fn reset(&mut self, cluster: &Cluster) {
+        self.raw.clear();
+        self.raw.resize(cluster.node_count(), None);
+        self.up = 0;
+    }
+
+    fn derive(&mut self, ctx: &SchedContext<'_>, id: NodeId) {
+        // detlint: allow(D5, invariant stated in the expect message; violating it is a bug, not a recoverable state)
+        let node = ctx.cluster.node(id).expect("a changed node exists");
+        let new = (node.admin_state() == AdminState::Up).then(|| {
+            node.lane_owners()
+                .filter_map(|j| ctx.running.get(&j))
+                .map(|r| r.est_end())
+                .fold(f64::NEG_INFINITY, f64::max)
+        });
+        let slot = &mut self.raw[id.index()];
+        self.up = self.up + new.is_some() as usize - slot.is_some() as usize;
+        *slot = new;
+    }
+}
+
+/// One app's pairing order over the cached partial nodes: best score
+/// first, ties by node id.
 #[derive(Clone, Debug, Default)]
 struct Ranking {
-    /// Built for the current cache key (cleared by every refresh).
+    /// Built for the partial table's current stamp (cleared by every
+    /// refresh that changes it).
     fresh: bool,
-    order: Vec<u32>,
+    order: Vec<NodeId>,
 }
 
 /// Event-invalidated planning cache + allocation-free picker scratch.
 #[derive(Clone, Debug)]
 pub(crate) struct Planner {
     table: PairingTable,
-    /// `(cluster instance, cluster version)` the caches were built for.
-    cache_key: Option<(u64, u64)>,
-    partials: Vec<PartialInfo>,
-    residents: Vec<Resident>,
-    eligible_count: usize,
-    /// Ascending `mem_free` of all partial nodes, for the memo key's
-    /// memory-threshold rank.
-    mem_sorted: Vec<u64>,
-    /// Raw free time per up node in id order: max resident `est_end`, or
-    /// −∞ when idle (clamped to `now` at reservation time, matching the
-    /// reference fold that starts at `now`).
-    free_raw: Vec<(NodeId, f64)>,
+    /// Kept in step with the cluster by every pass.
+    partials: Synced<PartialTable>,
+    /// Kept in step with the cluster by every reservation.
+    free: Synced<FreeTimes>,
     // Per-pass reservation state.
     shadow: f64,
     reserved: Vec<bool>,
@@ -102,7 +310,7 @@ pub(crate) struct Planner {
     /// Partial nodes (eligible or not) in the `reserved` set.
     reserved_partials: usize,
     /// Per-app rankings indexed by `AppId::index()`, valid for the
-    /// current cache key once `fresh`.
+    /// partial table's current stamp once `fresh`.
     rankings: Vec<Ranking>,
     // Shared-planning failure memo (packed keys), valid within one era.
     // detlint: allow(D1, u128-keyed failure memo probed via contains; never iterated)
@@ -119,9 +327,9 @@ pub(crate) struct Planner {
     /// function of (era, k); a different head width invalidates them.
     memo_resv_k: usize,
     // Scratch buffers reused across calls.
+    dirty_buf: Vec<NodeId>,
     sort_buf: Vec<(NodeId, f64)>,
-    rank_buf: Vec<(u32, NodeId, f64)>,
-    pick_buf: Vec<u32>,
+    rank_buf: Vec<(NodeId, f64)>,
     nodes_buf: Vec<NodeId>,
     apps_buf: Vec<AppId>,
     partner_buf: Vec<(JobId, u32, f64)>,
@@ -131,12 +339,8 @@ impl Planner {
     pub fn new(pairing: &Pairing) -> Self {
         Planner {
             table: PairingTable::build(pairing),
-            cache_key: None,
-            partials: Vec::new(),
-            residents: Vec::new(),
-            eligible_count: 0,
-            mem_sorted: Vec::new(),
-            free_raw: Vec::new(),
+            partials: Synced::default(),
+            free: Synced::default(),
             shadow: f64::INFINITY,
             reserved: Vec::new(),
             reserved_idle: 0,
@@ -147,9 +351,9 @@ impl Planner {
             failed_shared: HashSet::new(),
             memo_era: None,
             memo_resv_k: usize::MAX,
+            dirty_buf: Vec::new(),
             sort_buf: Vec::new(),
             rank_buf: Vec::new(),
-            pick_buf: Vec::new(),
             nodes_buf: Vec::new(),
             apps_buf: Vec::new(),
             partner_buf: Vec::new(),
@@ -159,7 +363,7 @@ impl Planner {
     /// Partial nodes whose whole stack could accept *some* candidate.
     #[inline]
     pub fn eligible_partial_count(&self) -> usize {
-        self.eligible_count
+        self.partials.eligible
     }
 
     /// Number of memoized shared-placement failures (test observability).
@@ -174,9 +378,9 @@ impl Planner {
         self.shadow
     }
 
-    /// Starts one scheduling pass: refreshes the version-keyed caches if
-    /// the cluster changed, rolls the failure-memo era, and resets the
-    /// reservation to "none" (shadow ∞, nothing restricted).
+    /// Starts one scheduling pass: brings the partial-node table up to
+    /// date if the cluster changed, rolls the failure-memo era, and
+    /// resets the reservation to "none" (shadow ∞, nothing restricted).
     ///
     /// The memo is cleared only when the `(cluster stamp, now)` era
     /// actually changed — every input a memoized failure depends on is
@@ -193,66 +397,12 @@ impl Planner {
         }
         self.shadow = f64::INFINITY;
         self.reserved_idle = 0;
-        self.eligible_unreserved = self.eligible_count;
+        self.eligible_unreserved = self.partials.eligible;
     }
 
     fn refresh(&mut self, ctx: &SchedContext<'_>) {
-        let key = (ctx.cluster.instance_id(), ctx.cluster.version());
-        if self.cache_key == Some(key) {
+        if !self.partials.sync(ctx, &mut self.dirty_buf) {
             return;
-        }
-        self.partials.clear();
-        self.residents.clear();
-        self.mem_sorted.clear();
-        self.eligible_count = 0;
-        for id in ctx.cluster.partial_nodes() {
-            let Some(node) = ctx.cluster.node(id) else {
-                continue;
-            };
-            let res_start = self.residents.len() as u32;
-            let mut eligible = true;
-            for j in node.occupants() {
-                match ctx.running.get(&j) {
-                    Some(r) if r.share_eligible => self.residents.push(Resident {
-                        job: j,
-                        app: r.app,
-                        est_end: r.est_end(),
-                        nodes: r.nodes,
-                    }),
-                    // Unknown or non-eligible resident: the node can never
-                    // host a co-runner, whatever the candidate.
-                    _ => {
-                        eligible = false;
-                        break;
-                    }
-                }
-            }
-            if !eligible {
-                self.residents.truncate(res_start as usize);
-            }
-            let mem_free = node.mem_free();
-            self.partials.push(PartialInfo {
-                node: id,
-                mem_free,
-                eligible,
-                res_start,
-                res_len: self.residents.len() as u32 - res_start,
-            });
-            self.mem_sorted.push(mem_free);
-            self.eligible_count += eligible as usize;
-        }
-        self.mem_sorted.sort_unstable();
-        self.free_raw.clear();
-        for node in ctx.cluster.nodes() {
-            if node.admin_state() != AdminState::Up {
-                continue;
-            }
-            let raw = node
-                .lane_owners()
-                .filter_map(|j| ctx.running.get(&j))
-                .map(|r| r.est_end())
-                .fold(f64::NEG_INFINITY, f64::max);
-            self.free_raw.push((node.id(), raw));
         }
         self.reserved.clear();
         self.reserved.resize(ctx.cluster.node_count(), false);
@@ -260,7 +410,6 @@ impl Planner {
         for r in &mut self.rankings {
             r.fresh = false;
         }
-        self.cache_key = Some(key);
     }
 
     /// Computes the head reservation for `k` nodes: same shadow and same
@@ -270,6 +419,11 @@ impl Planner {
     /// smallest — and the k-th itself — are identical).
     pub fn compute_reservation(&mut self, ctx: &SchedContext<'_>, k: usize) {
         assert!(k >= 1, "reservation for a zero-node head");
+        debug_assert_eq!(
+            self.partials.seen,
+            Some(ctx.cluster.stamp()),
+            "a reservation outside a pass"
+        );
         // `restricted` memo entries were computed against the previous
         // reservation; a different head width changes the reserved set,
         // so they (conservatively, the whole memo) must go.
@@ -277,36 +431,37 @@ impl Planner {
             self.failed_shared.clear();
             self.memo_resv_k = k;
         }
+        self.free.sync(ctx, &mut self.dirty_buf);
         self.reserved.fill(false);
-        if self.free_raw.len() < k {
+        self.eligible_unreserved = self.partials.eligible;
+        self.reserved_partials = 0;
+        if self.free.up < k {
             self.shadow = f64::INFINITY;
             self.reserved_idle = 0;
-            self.eligible_unreserved = self.eligible_count;
-            self.reserved_partials = 0;
             return;
         }
         self.sort_buf.clear();
-        self.sort_buf
-            .extend(self.free_raw.iter().map(|&(n, raw)| (n, raw.max(ctx.now))));
+        self.sort_buf.extend(
+            self.free
+                .raw
+                .iter()
+                .enumerate()
+                .filter_map(|(i, raw)| raw.map(|raw| (NodeId(i as u32), raw.max(ctx.now)))),
+        );
         self.sort_buf
             .select_nth_unstable_by(k - 1, |a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
         self.shadow = self.sort_buf[k - 1].1;
         for &(n, _) in &self.sort_buf[..k] {
             self.reserved[n.index()] = true;
+            let p = &self.partials.slots[n.index()];
+            self.reserved_partials += p.partial as usize;
+            self.eligible_unreserved -= p.eligible as usize;
         }
         self.reserved_idle = ctx
             .cluster
             .idle_nodes()
             .filter(|n| self.reserved[n.index()])
             .count();
-        self.eligible_unreserved = self.eligible_count;
-        self.reserved_partials = 0;
-        for p in &self.partials {
-            if self.reserved[p.node.index()] {
-                self.reserved_partials += 1;
-                self.eligible_unreserved -= p.eligible as usize;
-            }
-        }
     }
 
     /// [`crate::util::pick_exclusive`] with `allowed = !restricted-or-
@@ -366,8 +521,9 @@ impl Planner {
         // pass the memory check. Within one pass this rank pins the exact
         // subset of partial nodes the evaluation would consider, so
         // together with the other fields it determines the outcome.
-        let t = self.partials.len()
+        let t = self.partials.count
             - self
+                .partials
                 .mem_sorted
                 .partition_point(|&m| m < u64::from(job.mem_per_node_mib));
         let wt = pairing
@@ -388,7 +544,7 @@ impl Planner {
         let avail_partials = if restricted {
             self.eligible_unreserved
         } else {
-            self.eligible_count
+            self.partials.eligible
         }
         .min(t);
         let avail_idle = if idle_ok {
@@ -408,7 +564,7 @@ impl Planner {
         }
     }
 
-    /// Builds `app`'s [`Ranking`] over the current partials unless it is
+    /// Builds `app`'s [`Ranking`] over the cached partials unless it is
     /// already fresh: every eligible partial node whose whole stack
     /// accepts `app`, scored by the minimum pairwise score over its
     /// residents and sorted by `(score desc, node id)` — a unique total
@@ -422,12 +578,11 @@ impl Planner {
             return;
         }
         self.rank_buf.clear();
-        for (i, info) in self.partials.iter().enumerate() {
+        for (i, info) in self.partials.slots.iter().enumerate() {
             if !info.eligible {
                 continue;
             }
-            let res =
-                &self.residents[info.res_start as usize..(info.res_start + info.res_len) as usize];
+            let res = self.partials.residents(i);
             let mut score = f64::INFINITY;
             for r in res {
                 score = score.min(self.table.score(pairing, app, r.app));
@@ -441,11 +596,11 @@ impl Planner {
                 }
             };
             if ok {
-                self.rank_buf.push((i as u32, info.node, score));
+                self.rank_buf.push((NodeId(i as u32), score));
             }
         }
         self.rank_buf
-            .sort_unstable_by(|a, b| b.2.total_cmp(&a.2).then(a.1.cmp(&b.1)));
+            .sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         let ranking = &mut self.rankings[a];
         ranking.order.clear();
         ranking.order.extend(self.rank_buf.iter().map(|c| c.0));
@@ -462,7 +617,8 @@ impl Planner {
     /// chosen nodes, their rates, and the net gain come out bit-identical.
     /// Counts one pairing query per unreserved partial node and one hit
     /// per node that survives every filter, as the reference does. Leaves
-    /// the chosen nodes in `nodes_buf` and returns the net gain.
+    /// the chosen nodes in `nodes_buf` (the partial ones first) and
+    /// returns the net gain.
     fn plan_and_eval(
         &mut self,
         ctx: &SchedContext<'_>,
@@ -475,21 +631,17 @@ impl Planner {
         self.rank(pairing, job.app);
         let cand_bound = job.walltime_estimate * ctx.shared_grace.max(1.0);
         let mem = u64::from(job.mem_per_node_mib);
-        self.pick_buf.clear();
         self.nodes_buf.clear();
         let mut hits = 0u64;
-        'nodes: for &i in &self.rankings[job.app.index()].order {
-            let info = &self.partials[i as usize];
-            if restricted && self.reserved[info.node.index()] {
+        'nodes: for &n in &self.rankings[job.app.index()].order {
+            if restricted && self.reserved[n.index()] {
                 continue;
             }
-            if info.mem_free < mem {
+            if self.partials.slots[n.index()].mem_free < mem {
                 continue;
             }
             if let Some(theta) = pairing.duration_match {
-                let res = &self.residents
-                    [info.res_start as usize..(info.res_start + info.res_len) as usize];
-                for r in res {
+                for r in self.partials.residents(n.index()) {
                     let remaining = (r.est_end - ctx.now).max(0.0);
                     let overlap = remaining.min(cand_bound) / remaining.max(cand_bound).max(1e-9);
                     if overlap < theta {
@@ -498,9 +650,8 @@ impl Planner {
                 }
             }
             hits += 1;
-            if self.pick_buf.len() < k {
-                self.pick_buf.push(i);
-                self.nodes_buf.push(info.node);
+            if self.nodes_buf.len() < k {
+                self.nodes_buf.push(n);
             }
         }
         if let Some(t) = ctx.telemetry {
@@ -510,10 +661,10 @@ impl Planner {
                 0
             };
             t.pairing_queries
-                .add((self.partials.len() - reserved) as u64);
+                .add((self.partials.count - reserved) as u64);
             t.pairing_hits.add(hits);
         }
-        let chosen = self.pick_buf.len();
+        let chosen = self.nodes_buf.len();
         if chosen < k && idle_ok {
             let need = k - chosen;
             if restricted {
@@ -534,10 +685,8 @@ impl Planner {
         // contribute to the rates and losses.
         let mut candidate_rate = 1.0f64;
         self.partner_buf.clear();
-        for &i in &self.pick_buf {
-            let info = &self.partials[i as usize];
-            let res =
-                &self.residents[info.res_start as usize..(info.res_start + info.res_len) as usize];
+        for &n in &self.nodes_buf[..chosen] {
+            let res = self.partials.residents(n.index());
             match res {
                 [r] => {
                     let (cr, rr) = self.table.stack_pair(pairing, job.app, r.app);
@@ -990,6 +1139,7 @@ mod memo_tests {
     use nodeshare_cluster::{Cluster, ClusterSpec, NodeSpec, ShareMode};
     use nodeshare_engine::RunningSummary;
     use nodeshare_perf::AppCatalog;
+    use proptest::prelude::*;
     use std::collections::BTreeMap;
 
     struct Rig {
@@ -1187,13 +1337,12 @@ mod memo_tests {
                 continue;
             }
             let app = AppId(a as u8);
-            let got: Vec<NodeId> = ranking
-                .order
-                .iter()
-                .map(|&i| planner.partials[i as usize].node)
-                .collect();
-            assert_eq!(got, ranked_from_scratch(ctx, pairing, app), "app {a}");
-            held += got.len();
+            assert_eq!(
+                ranking.order,
+                ranked_from_scratch(ctx, pairing, app),
+                "app {a}"
+            );
+            held += ranking.order.len();
         }
         held
     }
@@ -1239,6 +1388,163 @@ mod memo_tests {
             check_rankings(&mut planner, &rig.ctx(10.0), &pairing, &apps);
             rig.end(5);
             assert!(check_rankings(&mut planner, &rig.ctx(15.0), &pairing, &apps) > 0);
+        }
+    }
+
+    /// Applies one random cluster mutation to `rig` at `now`, keeping the
+    /// running map in step as the engine does. `op` picks the mutation,
+    /// `x` and `y` its operands; a mutation the cluster refuses (a busy or
+    /// down node, too little memory, an occupied node set down) leaves
+    /// both unchanged.
+    fn mutate(rig: &mut Rig, apps: &[AppId], next_job: &mut u64, now: f64, op: u8, x: u32, y: u32) {
+        let n = rig.cluster.node_count() as u32;
+        match op {
+            0..=3 => {
+                let width = 1 + x % 3;
+                let ids: Vec<NodeId> = (0..width).map(|d| NodeId((y + d) % n)).collect();
+                let mem = [0, 1024, 4096, 6144][(x % 4) as usize];
+                let shared = op >= 2;
+                let granted = if shared {
+                    rig.cluster.allocate_shared(JobId(*next_job), &ids, mem)
+                } else {
+                    rig.cluster.allocate_exclusive(JobId(*next_job), &ids, mem)
+                };
+                if granted.is_ok() {
+                    let walltime = f64::from(1 + x * 37 % 500);
+                    rig.running.insert(
+                        JobId(*next_job),
+                        RunningSummary {
+                            job: JobId(*next_job),
+                            app: apps[(x / 4) as usize % apps.len()],
+                            nodes: width,
+                            requested_nodes: width,
+                            malleable: Default::default(),
+                            start: now,
+                            walltime_estimate: walltime,
+                            kill_at: now + walltime,
+                            share_eligible: x % 5 != 0,
+                            mode: if shared {
+                                ShareMode::Shared
+                            } else {
+                                ShareMode::Exclusive
+                            },
+                        },
+                    );
+                }
+                *next_job += 1;
+            }
+            4 | 5 if !rig.running.is_empty() => {
+                let job = *rig
+                    .running
+                    .keys()
+                    .nth(x as usize % rig.running.len())
+                    .unwrap();
+                rig.end(job.0);
+            }
+            6 => rig.cluster.drain(NodeId(y % n)).unwrap(),
+            7 => rig.cluster.resume(NodeId(y % n)).unwrap(),
+            8 => {
+                // Fails on an occupied node.
+                let _ = rig.cluster.set_down(NodeId(y % n));
+            }
+            // A new mutation history: every node is dirty.
+            9 => rig.cluster = rig.cluster.clone(),
+            _ => {}
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random mutations on an SMT-2 or SMT-4 cluster, with a pass after
+        /// a random subset of them so that several versions pile up
+        /// between refreshes: after every pass the per-node tables, the
+        /// rankings, the reservation and a shared pick equal those of a
+        /// planner built fresh on the same context.
+        #[test]
+        fn dirty_node_refresh_matches_a_fresh_planner(
+            smt4 in prop::bool::weighted(0.5),
+            any_pairing in prop::bool::weighted(0.5),
+            steps in prop::collection::vec((0u8..11, 0u32..1000, 0u32..64, 0u8..4), 1..80),
+        ) {
+            let catalog = AppCatalog::trinity();
+            let apps: Vec<AppId> = catalog.ids().collect();
+            let pairing = if any_pairing {
+                Pairing::new(PairingPolicy::Any, oracle())
+            } else {
+                Pairing::new(PairingPolicy::default_threshold(), oracle())
+            };
+            let node = NodeSpec {
+                smt: if smt4 { 4 } else { 2 },
+                ..NodeSpec::tiny()
+            };
+            let mut rig = Rig {
+                cluster: Cluster::new(ClusterSpec::new(8, node)),
+                running: BTreeMap::new(),
+                queue: Vec::new(),
+            };
+            let mut planner = Planner::new(&pairing);
+            let mut next_job = 1;
+            for (step, &(op, x, y, pass)) in steps.iter().enumerate() {
+                let now = step as f64 * 10.0;
+                mutate(&mut rig, &apps, &mut next_job, now, op, x, y);
+                if pass == 0 {
+                    continue;
+                }
+                let ctx = rig.ctx(now);
+                let mut fresh = Planner::new(&pairing);
+                planner.begin_pass(&ctx);
+                fresh.begin_pass(&ctx);
+                prop_assert_eq!(&planner.partials, &fresh.partials);
+                let partial: Vec<NodeId> = (0..planner.partials.slots.len())
+                    .filter(|&i| planner.partials.slots[i].partial)
+                    .map(|i| NodeId(i as u32))
+                    .collect();
+                prop_assert_eq!(partial, ctx.cluster.partial_nodes().collect::<Vec<_>>());
+                prop_assert_eq!(planner.eligible_partial_count(), fresh.eligible_partial_count());
+                // Rankings: this pass's app, plus every one still fresh
+                // from an earlier pass at the same stamp.
+                planner.rank(&pairing, apps[x as usize % apps.len()]);
+                for (a, ranking) in planner.rankings.iter().enumerate() {
+                    if ranking.fresh {
+                        fresh.rank(&pairing, AppId(a as u8));
+                        prop_assert_eq!(&ranking.order, &fresh.rankings[a].order, "app {}", a);
+                    }
+                }
+                if pass >= 2 {
+                    let k = 1 + (y % 9) as usize;
+                    planner.compute_reservation(&ctx, k);
+                    fresh.compute_reservation(&ctx, k);
+                    prop_assert_eq!(&planner.free, &fresh.free);
+                    prop_assert_eq!(planner.shadow.to_bits(), fresh.shadow.to_bits());
+                    prop_assert_eq!(&planner.reserved, &fresh.reserved);
+                    prop_assert_eq!(planner.reserved_idle, fresh.reserved_idle);
+                    prop_assert_eq!(planner.eligible_unreserved, fresh.eligible_unreserved);
+                    prop_assert_eq!(planner.reserved_partials, fresh.reserved_partials);
+                    let head = crate::util::HeadReservation::compute(&ctx, k);
+                    prop_assert_eq!(planner.shadow.to_bits(), head.shadow.to_bits());
+                    for (i, &r) in planner.reserved.iter().enumerate() {
+                        prop_assert_eq!(r, head.nodes.contains(&NodeId(i as u32)));
+                    }
+                }
+                let candidate = JobSpec {
+                    malleable: Default::default(),
+                    id: JobId(next_job),
+                    app: apps[y as usize % apps.len()],
+                    nodes: 1 + x % 4,
+                    submit: now,
+                    runtime_exclusive: 50.0,
+                    walltime_estimate: f64::from(1 + y * 13),
+                    mem_per_node_mib: [0, 2048, 8192][(y % 3) as usize],
+                    share_eligible: true,
+                    user: 0,
+                };
+                let restricted = pass == 3;
+                prop_assert_eq!(
+                    planner.pick_shared(&ctx, &candidate, &pairing, restricted),
+                    fresh.pick_shared(&ctx, &candidate, &pairing, restricted)
+                );
+            }
         }
     }
 }

@@ -216,9 +216,8 @@ pub fn check_file(path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
             findings.push(finding("D3", path, src, t.line, t.col));
         }
         // D4 — order-sensitive float accumulation in merge paths. A
-        // statement that names an integer accumulator type or the
-        // OrderedMerge reorder buffer is exempt; everything else needs
-        // a sorted-input annotation.
+        // statement that names an integer accumulator type is exempt;
+        // everything else needs a sorted-input annotation.
         if scoped["D4"]
             && text == "."
             && sig
@@ -264,21 +263,9 @@ const SORTERS: [&str; 8] = [
 ];
 
 /// D4's order-insensitive accumulator vocabulary: integer sums commute
-/// exactly, and `OrderedMerge` is the sanctioned merge primitive.
-const INT_EXEMPT: [&str; 13] = [
-    "u8",
-    "u16",
-    "u32",
-    "u64",
-    "u128",
-    "usize",
-    "i8",
-    "i16",
-    "i32",
-    "i64",
-    "i128",
-    "isize",
-    "OrderedMerge",
+/// exactly.
+const INT_EXEMPT: [&str; 12] = [
+    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
 ];
 
 fn finding(rule: &'static str, path: &str, src: &str, line: u32, col: u32) -> Finding {

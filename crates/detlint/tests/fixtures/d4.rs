@@ -12,8 +12,8 @@ fn negative_integer_accumulator(xs: &[u64]) -> u64 {
     xs.iter().sum::<u64>()
 }
 
-fn negative_ordered_merge(xs: &[f64]) -> f64 {
-    OrderedMerge::from_sorted(xs).values().sum::<f64>()
+fn positive_merge_type_is_no_exemption(xs: &[f64]) -> f64 {
+    OrderedMerge::from_sorted(xs).values().sum::<f64>() //~ D4
 }
 
 fn negative_annotated(xs: &[f64]) -> f64 {
