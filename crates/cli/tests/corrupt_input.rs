@@ -106,3 +106,38 @@ fn unsorted_swf_fails_streamed_and_runs_materialized() {
     assert_eq!(records.lines().count(), 7, "{records}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("jobs 6"));
 }
+
+#[test]
+fn processor_counts_past_u32_are_rejected_not_wrapped() {
+    // Jobs 3 and 5 ask for 2^37 and 2^37 + 32 processors: more nodes
+    // than `u32` holds. They saturate and are rejected at submission,
+    // streamed or materialized, and the four other jobs run.
+    let path = fixture("huge_procs.swf");
+    let mut csvs = Vec::new();
+    for extra in [None, Some("--materialize")] {
+        let csv = std::env::temp_dir().join(format!(
+            "nodeshare_huge_procs_{}_{}.csv",
+            std::process::id(),
+            csvs.len()
+        ));
+        let out = Command::new(env!("CARGO_BIN_EXE_nodeshare"))
+            .args(["simulate", "--source", &path])
+            .args(extra)
+            .arg("--csv")
+            .arg(&csv)
+            .output()
+            .expect("nodeshare runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{extra:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains("rejected at submission (unsatisfiable): 2 jobs"),
+            "{stdout}"
+        );
+        assert!(stdout.contains("jobs 4 "), "{stdout}");
+        csvs.push(std::fs::read_to_string(&csv).expect("--csv written"));
+        std::fs::remove_file(&csv).ok();
+    }
+    assert_eq!(csvs[0], csvs[1], "streamed and materialized runs differ");
+}

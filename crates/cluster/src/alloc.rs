@@ -1,16 +1,8 @@
-//! Allocation records: which nodes and lanes a job holds.
+//! Allocation records: which nodes a job holds, and how. The lanes it
+//! holds on each node are the node's own record ([`crate::Node::lanes_of`]).
 
-use crate::ids::{JobId, Lane, NodeId};
+use crate::ids::{JobId, NodeId};
 use serde::{Deserialize, Serialize};
-
-/// One node's worth of an allocation: the node and the lanes held there.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Placement {
-    /// Node the lanes belong to.
-    pub node: NodeId,
-    /// Lanes held on that node (all lanes for exclusive allocations).
-    pub lanes: Vec<Lane>,
-}
 
 /// How a job occupies its nodes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -36,8 +28,9 @@ impl ShareMode {
 pub struct Allocation {
     /// Owning job.
     pub job: JobId,
-    /// Per-node lane holdings, in the order nodes were granted.
-    pub placements: Vec<Placement>,
+    /// Nodes held, in the order they were granted. An exclusive job holds
+    /// every lane of each, a shared job one lane.
+    pub nodes: Vec<NodeId>,
     /// Memory charged on each node, MiB.
     pub mem_per_node: u64,
     /// Exclusive or shared occupancy.
@@ -45,15 +38,10 @@ pub struct Allocation {
 }
 
 impl Allocation {
-    /// Nodes held by the allocation, in grant order.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.placements.iter().map(|p| p.node)
-    }
-
     /// Number of nodes held.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.placements.len()
+        self.nodes.len()
     }
 }
 
@@ -65,21 +53,11 @@ mod tests {
     fn allocation_accessors() {
         let a = Allocation {
             job: JobId(9),
-            placements: vec![
-                Placement {
-                    node: NodeId(2),
-                    lanes: vec![Lane(0)],
-                },
-                Placement {
-                    node: NodeId(5),
-                    lanes: vec![Lane(1)],
-                },
-            ],
+            nodes: vec![NodeId(2), NodeId(5)],
             mem_per_node: 512,
             mode: ShareMode::Shared,
         };
         assert_eq!(a.node_count(), 2);
-        assert_eq!(a.nodes().collect::<Vec<_>>(), vec![NodeId(2), NodeId(5)]);
         assert!(a.mode.is_shared());
         assert!(!ShareMode::Exclusive.is_shared());
     }

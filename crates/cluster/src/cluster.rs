@@ -1,11 +1,11 @@
 //! The cluster aggregate: nodes, live allocations, and free-capacity
 //! indices kept in sync on every mutation.
 
-use crate::alloc::{Allocation, Placement, ShareMode};
+use crate::alloc::{Allocation, ShareMode};
 use crate::ids::{JobId, Lane, NodeId};
 use crate::node::{AdminState, Node, NodeError};
 use crate::spec::ClusterSpec;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Errors from cluster-level allocation operations.
 ///
@@ -77,6 +77,69 @@ pub struct AllocStats {
     pub failed_allocs: u64,
 }
 
+/// A set of node ids as a dense bitset: one bit per node in `u64`
+/// words, plus the member count. Membership changes and tests are O(1)
+/// and allocate nothing; iteration yields ids in ascending order.
+#[derive(Clone, Debug)]
+struct NodeSet {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl NodeSet {
+    /// An empty set with room for node ids `0..n`.
+    fn new(n: usize) -> Self {
+        NodeSet {
+            words: vec![0; n.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn contains(&self, id: NodeId) -> bool {
+        self.words[id.index() / 64] & (1 << (id.index() % 64)) != 0
+    }
+
+    /// Adds `id`; returns whether it was absent.
+    #[inline]
+    fn insert(&mut self, id: NodeId) -> bool {
+        let (word, bit) = (&mut self.words[id.index() / 64], 1 << (id.index() % 64));
+        let absent = *word & bit == 0;
+        *word |= bit;
+        self.len += absent as usize;
+        absent
+    }
+
+    /// Removes `id` if present.
+    #[inline]
+    fn remove(&mut self, id: NodeId) {
+        let (word, bit) = (&mut self.words[id.index() / 64], 1 << (id.index() % 64));
+        self.len -= (*word & bit != 0) as usize;
+        *word &= !bit;
+    }
+
+    /// Members in ascending id order.
+    fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| ones(w, word))
+    }
+}
+
+/// The node ids whose bits are set in `word`, the `w`-th word of a
+/// [`NodeSet`], in ascending order.
+#[inline]
+fn ones(w: usize, mut word: u64) -> impl Iterator<Item = NodeId> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            NodeId((w * 64 + bit) as u32)
+        })
+    })
+}
+
 /// Cached occupancy classification of one node, diffed on every index
 /// refresh so the cluster-wide counters stay O(1) to read.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -92,7 +155,9 @@ struct NodeClass {
 /// A cluster of homogeneous nodes with lane-granular allocation tracking.
 ///
 /// Several indices are maintained incrementally so schedulers can
-/// enumerate capacity without scanning every node:
+/// enumerate capacity without scanning every node. The node sets are
+/// dense id-ordered bitsets, so a mutation updates them in O(1) per node
+/// it touches and enumeration yields ascending ids:
 ///
 /// * **idle** — up nodes with no resident job (candidates for exclusive
 ///   allocation);
@@ -118,11 +183,14 @@ pub struct Cluster {
     nodes: Vec<Node>,
     // detlint: allow(D1, job-keyed lookup table; the unordered allocations() iterator feeds only order-insensitive tests)
     allocations: HashMap<JobId, Allocation>,
-    idle: BTreeSet<NodeId>,
-    partial: BTreeSet<NodeId>,
+    idle: NodeSet,
+    partial: NodeSet,
     /// `lane_buckets[f]` = partial nodes with exactly `f` free lanes.
-    lane_buckets: Vec<BTreeSet<NodeId>>,
+    lane_buckets: Vec<NodeSet>,
     class: Vec<NodeClass>,
+    /// Scratch for the duplicate-id check of an allocation request;
+    /// empty between calls.
+    listed: NodeSet,
     /// `changed_at[n]` = the version the last mutation of node `n`
     /// produced (0 if it was never mutated).
     changed_at: Vec<u64>,
@@ -146,6 +214,7 @@ impl Clone for Cluster {
             partial: self.partial.clone(),
             lane_buckets: self.lane_buckets.clone(),
             class: self.class.clone(),
+            listed: self.listed.clone(),
             changed_at: self.changed_at.clone(),
             occupied_nodes: self.occupied_nodes,
             shared_nodes: self.shared_nodes,
@@ -174,7 +243,11 @@ impl Cluster {
         let nodes: Vec<Node> = (0..spec.node_count)
             .map(|i| Node::new(NodeId(i), spec.node))
             .collect();
-        let idle = nodes.iter().map(Node::id).collect();
+        let n = nodes.len();
+        let mut idle = NodeSet::new(n);
+        for node in &nodes {
+            idle.insert(node.id());
+        }
         let class = vec![NodeClass::default(); nodes.len()];
         let changed_at = vec![0; nodes.len()];
         Cluster {
@@ -183,9 +256,10 @@ impl Cluster {
             // detlint: allow(D1, lookup-only allocation table, see the field note)
             allocations: HashMap::new(),
             idle,
-            partial: BTreeSet::new(),
-            lane_buckets: vec![BTreeSet::new(); spec.node.smt as usize + 1],
+            partial: NodeSet::new(n),
+            lane_buckets: vec![NodeSet::new(n); spec.node.smt as usize + 1],
             class,
+            listed: NodeSet::new(n),
             changed_at,
             occupied_nodes: 0,
             shared_nodes: 0,
@@ -225,19 +299,26 @@ impl Cluster {
 
     /// Up-and-idle nodes, in id order.
     pub fn idle_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.idle.iter().copied()
+        self.idle.iter()
+    }
+
+    /// Whether `id` is up and idle (one of [`Cluster::idle_nodes`]), in
+    /// O(1).
+    #[inline]
+    pub fn is_idle(&self, id: NodeId) -> bool {
+        id.index() < self.nodes.len() && self.idle.contains(id)
     }
 
     /// Number of up-and-idle nodes.
     #[inline]
     pub fn idle_count(&self) -> usize {
-        self.idle.len()
+        self.idle.len
     }
 
     /// Up nodes that host at least one job and still have a free lane —
     /// the co-allocation candidates.
     pub fn partial_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.partial.iter().copied()
+        self.partial.iter()
     }
 
     /// Whether `id` is a co-allocation candidate (one of
@@ -250,27 +331,23 @@ impl Cluster {
     /// Number of co-allocation candidate nodes.
     #[inline]
     pub fn partial_count(&self) -> usize {
-        self.partial.len()
+        self.partial.len
     }
 
     /// Partial nodes with at least `min_free` free lanes, in id order —
     /// the lane-bucket index, so an SMT>2 search for "room for n more
-    /// lanes" does not touch nodes that cannot qualify.
+    /// lanes" does not touch nodes that cannot qualify. Each word of the
+    /// result is the OR of the qualifying buckets' words.
     pub fn partial_nodes_with_free_lanes(&self, min_free: u8) -> impl Iterator<Item = NodeId> + '_ {
         let lo = (min_free as usize).max(1).min(self.lane_buckets.len());
-        let mut ids: Vec<NodeId> = self.lane_buckets[lo..]
-            .iter()
-            .flat_map(|b| b.iter().copied())
-            .collect();
-        ids.sort_unstable();
-        ids.into_iter()
+        let buckets = &self.lane_buckets[lo..];
+        (0..self.partial.words.len())
+            .flat_map(move |w| ones(w, buckets.iter().fold(0, |acc, b| acc | b.words[w])))
     }
 
     /// Number of partial nodes with exactly `free` free lanes.
     pub fn lane_bucket_count(&self, free: u8) -> usize {
-        self.lane_buckets
-            .get(free as usize)
-            .map_or(0, BTreeSet::len)
+        self.lane_buckets.get(free as usize).map_or(0, |b| b.len)
     }
 
     /// Monotone state-change counter: bumped on every successful mutation
@@ -339,20 +416,27 @@ impl Cluster {
         self.allocations.len()
     }
 
-    fn check_node_ids(&self, nodes: &[NodeId]) -> Result<(), AllocError> {
+    fn check_node_ids(&mut self, nodes: &[NodeId]) -> Result<(), AllocError> {
         if nodes.is_empty() {
             return Err(AllocError::EmptyNodeList);
         }
-        let mut seen = BTreeSet::new();
+        let mut result = Ok(());
+        let mut marked = 0;
         for &n in nodes {
             if n.index() >= self.nodes.len() {
-                return Err(AllocError::NoSuchNode(n));
+                result = Err(AllocError::NoSuchNode(n));
+                break;
             }
-            if !seen.insert(n) {
-                return Err(AllocError::DuplicateNode(n));
+            if !self.listed.insert(n) {
+                result = Err(AllocError::DuplicateNode(n));
+                break;
             }
+            marked += 1;
         }
-        Ok(())
+        for &n in &nodes[..marked] {
+            self.listed.remove(n);
+        }
+        result
     }
 
     /// Re-derives the indices of `id` after a mutation of it, and stamps
@@ -376,12 +460,12 @@ impl Cluster {
         if up && idle {
             self.idle.insert(id);
         } else {
-            self.idle.remove(&id);
+            self.idle.remove(id);
         }
         if new.bucket > 0 {
             self.partial.insert(id);
         } else {
-            self.partial.remove(&id);
+            self.partial.remove(id);
         }
         let old = std::mem::replace(&mut self.class[id.index()], new);
         if old.occupied != new.occupied {
@@ -400,7 +484,7 @@ impl Cluster {
         }
         if old.bucket != new.bucket {
             if old.bucket > 0 {
-                self.lane_buckets[old.bucket as usize].remove(&id);
+                self.lane_buckets[old.bucket as usize].remove(id);
             }
             if new.bucket > 0 {
                 self.lane_buckets[new.bucket as usize].insert(id);
@@ -458,21 +542,16 @@ impl Cluster {
                 .into());
             }
         }
-        let mut placements = Vec::with_capacity(nodes.len());
         for &id in nodes {
             self.nodes[id.index()]
                 .occupy_exclusive(job, mem_per_node)
                 // detlint: allow(D5, invariant stated in the expect message; violating it is a bug, not a recoverable state)
                 .expect("validated above");
-            placements.push(Placement {
-                node: id,
-                lanes: (0..self.spec.node.smt).map(Lane).collect(),
-            });
             self.refresh_index(id);
         }
         let alloc = Allocation {
             job,
-            placements,
+            nodes: nodes.to_vec(),
             mem_per_node,
             mode: ShareMode::Exclusive,
         };
@@ -519,7 +598,7 @@ impl Cluster {
             if n.admin_state() != AdminState::Up {
                 return Err(NodeError::Unavailable(id, n.admin_state()).into());
             }
-            if n.occupants().contains(&job) {
+            if n.lane_owners().any(|o| o == job) {
                 return Err(NodeError::AlreadyPresent(id, job).into());
             }
             let lane = n.free_lane().ok_or(NodeError::LaneBusy(
@@ -537,21 +616,16 @@ impl Cluster {
             }
             chosen.push((id, lane));
         }
-        let mut placements = Vec::with_capacity(chosen.len());
         for &(id, lane) in &chosen {
             self.nodes[id.index()]
                 .occupy_lane(job, lane, mem_per_node)
                 // detlint: allow(D5, invariant stated in the expect message; violating it is a bug, not a recoverable state)
                 .expect("validated above");
-            placements.push(Placement {
-                node: id,
-                lanes: vec![lane],
-            });
             self.refresh_index(id);
         }
         let alloc = Allocation {
             job,
-            placements,
+            nodes: nodes.to_vec(),
             mem_per_node,
             mode: ShareMode::Shared,
         };
@@ -565,12 +639,12 @@ impl Cluster {
             .allocations
             .remove(&job)
             .ok_or(AllocError::UnknownJob(job))?;
-        for p in &alloc.placements {
-            self.nodes[p.node.index()]
+        for &id in &alloc.nodes {
+            self.nodes[id.index()]
                 .release(job)
                 // detlint: allow(D5, invariant stated in the expect message; violating it is a bug, not a recoverable state)
                 .expect("allocation table and node state must agree");
-            self.refresh_index(p.node);
+            self.refresh_index(id);
         }
         self.stats.releases += 1;
         self.version += 1;
@@ -584,13 +658,9 @@ impl Cluster {
             return Vec::new();
         };
         alloc
-            .placements
+            .nodes
             .iter()
-            .filter_map(|p| {
-                self.nodes[p.node.index()]
-                    .co_runner_of(job)
-                    .map(|co| (p.node, co))
-            })
+            .filter_map(|&id| self.nodes[id.index()].co_runner_of(job).map(|co| (id, co)))
             .collect()
     }
 
@@ -671,15 +741,21 @@ impl Cluster {
     /// Intended for tests and property checks; linear in cluster size.
     pub fn check_invariants(&self) -> Result<(), String> {
         for alloc in self.allocations.values() {
-            for p in &alloc.placements {
+            // An exclusive job holds every lane of each of its nodes, a
+            // shared job exactly one.
+            let want = match alloc.mode {
+                ShareMode::Exclusive => usize::from(self.spec.node.smt),
+                ShareMode::Shared => 1,
+            };
+            for &id in &alloc.nodes {
                 let node = self
-                    .node(p.node)
-                    .ok_or_else(|| format!("allocation references missing {}", p.node))?;
+                    .node(id)
+                    .ok_or_else(|| format!("allocation references missing {id}"))?;
                 let held = node.lanes_of(alloc.job);
-                if held != p.lanes {
+                if held.len() != want {
                     return Err(format!(
-                        "{} on {}: allocation says lanes {:?}, node says {:?}",
-                        alloc.job, p.node, p.lanes, held
+                        "{} on {id}: a {:?} allocation holds lanes {held:?}",
+                        alloc.job, alloc.mode
                     ));
                 }
             }
@@ -690,7 +766,7 @@ impl Cluster {
                     .allocations
                     .get(&occupant)
                     .ok_or_else(|| format!("{} on {} has no allocation", occupant, node.id()))?;
-                if !alloc.nodes().any(|n| n == node.id()) {
+                if !alloc.nodes.contains(&node.id()) {
                     return Err(format!(
                         "{} resident on {} but allocation omits it",
                         occupant,
@@ -702,10 +778,10 @@ impl Cluster {
             let up = node.admin_state() == AdminState::Up;
             let want_idle = up && node.is_idle();
             let want_partial = up && !node.is_idle() && node.free_lane_count() > 0;
-            if self.idle.contains(&id) != want_idle {
+            if self.idle.contains(id) != want_idle {
                 return Err(format!("idle index wrong for {id}"));
             }
-            if self.partial.contains(&id) != want_partial {
+            if self.partial.contains(id) != want_partial {
                 return Err(format!("partial index wrong for {id}"));
             }
             let want_bucket = if want_partial {
@@ -717,7 +793,7 @@ impl Cluster {
                 return Err(format!("lane bucket wrong for {id}"));
             }
             for (f, bucket) in self.lane_buckets.iter().enumerate() {
-                if bucket.contains(&id) != (want_bucket as usize == f && f > 0) {
+                if bucket.contains(id) != (want_bucket as usize == f && f > 0) {
                     return Err(format!("lane bucket {f} membership wrong for {id}"));
                 }
             }

@@ -16,7 +16,8 @@
 //! * [`node`] — per-node lane/memory/admin state,
 //! * [`alloc`] — allocation records ([`Allocation`], [`ShareMode`]),
 //! * [`cluster`] — the [`Cluster`] aggregate with atomic allocate/release
-//!   and incrementally maintained idle/partial capacity indices.
+//!   and incrementally maintained idle/partial capacity indices (dense
+//!   id-ordered bitsets, updated per node a mutation touches).
 //!
 //! ```
 //! use nodeshare_cluster::{Cluster, ClusterSpec, JobId, NodeId};
@@ -34,7 +35,7 @@ pub mod node;
 pub mod render;
 pub mod spec;
 
-pub use alloc::{Allocation, Placement, ShareMode};
+pub use alloc::{Allocation, ShareMode};
 pub use cluster::{AllocError, AllocStats, Cluster, OccupancySnapshot};
 pub use ids::{JobId, Lane, NodeId};
 pub use node::{AdminState, Node, NodeError, Occupancy};

@@ -2,7 +2,9 @@
 //! capacity indices stay mutually consistent under arbitrary interleavings
 //! of allocate/release/drain/resume operations.
 
-use nodeshare_cluster::{AllocError, Cluster, ClusterSpec, JobId, NodeId, NodeSpec};
+use nodeshare_cluster::{
+    AdminState, AllocError, Cluster, ClusterSpec, JobId, Node, NodeId, NodeSpec,
+};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -17,18 +19,66 @@ enum Op {
 const NODES: u32 = 6;
 
 fn op_strategy() -> impl Strategy<Value = Op> {
-    let node = 0..NODES;
-    let nodes = prop::collection::vec(0..NODES, 1..4);
+    ops_over(|| 0..NODES)
+}
+
+/// Operations whose node ids `node` draws.
+fn ops_over<S: Strategy<Value = u32> + 'static>(node: fn() -> S) -> impl Strategy<Value = Op> {
+    let nodes = move || prop::collection::vec(node(), 1..4);
     let job = 0u64..12;
     let mem = 0u64..(NodeSpec::tiny().mem_mib + 1024);
     prop_oneof![
-        (job.clone(), nodes.clone(), mem.clone())
-            .prop_map(|(job, nodes, mem)| Op::AllocExclusive { job, nodes, mem }),
-        (job.clone(), nodes, mem).prop_map(|(job, nodes, mem)| Op::AllocShared { job, nodes, mem }),
+        (job.clone(), nodes(), mem.clone()).prop_map(|(job, nodes, mem)| Op::AllocExclusive {
+            job,
+            nodes,
+            mem
+        }),
+        (job.clone(), nodes(), mem).prop_map(|(job, nodes, mem)| Op::AllocShared {
+            job,
+            nodes,
+            mem
+        }),
         job.prop_map(|job| Op::Release { job }),
-        node.clone().prop_map(|node| Op::Drain { node }),
-        node.prop_map(|node| Op::Resume { node }),
+        node().prop_map(|node| Op::Drain { node }),
+        node().prop_map(|node| Op::Resume { node }),
     ]
+}
+
+/// Applies `op`, ignoring whether it succeeds.
+fn apply(c: &mut Cluster, op: Op) {
+    match op {
+        Op::AllocExclusive { job, nodes, mem } => {
+            let ids: Vec<NodeId> = nodes.iter().copied().map(NodeId).collect();
+            let _ = c.allocate_exclusive(JobId(job), &ids, mem);
+        }
+        Op::AllocShared { job, nodes, mem } => {
+            let ids: Vec<NodeId> = nodes.iter().copied().map(NodeId).collect();
+            let _ = c.allocate_shared(JobId(job), &ids, mem);
+        }
+        Op::Release { job } => {
+            let _ = c.release(JobId(job));
+        }
+        Op::Drain { node } => c.drain(NodeId(node)).unwrap(),
+        Op::Resume { node } => c.resume(NodeId(node)).unwrap(),
+    }
+}
+
+/// A cluster wider than two 64-bit words of node ids.
+const WIDE_NODES: u32 = 150;
+
+/// Node ids on both sides of the index bitsets' word boundaries (63/64
+/// and 127/128), or anywhere on the wide cluster.
+fn boundary_node() -> impl Strategy<Value = u32> {
+    prop_oneof![61u32..67, 125u32..131, 0..WIDE_NODES]
+}
+
+/// The wide cluster's nodes have four lanes, so free-lane buckets 1–3
+/// all fill.
+fn smt4() -> NodeSpec {
+    NodeSpec {
+        smt: 4,
+        ..NodeSpec::tiny()
+    }
 }
 
 proptest! {
@@ -79,25 +129,53 @@ proptest! {
         c.check_invariants().map_err(TestCaseError::fail)?;
     }
 
+    /// The idle, partial and free-lane indices list exactly what a scan
+    /// over the nodes finds, in ascending id order, on a cluster whose
+    /// node ids span three words, with operations clustered at the word
+    /// boundaries.
+    #[test]
+    fn indices_match_a_scan_across_word_boundaries(
+        ops in prop::collection::vec(ops_over(boundary_node), 1..80)
+    ) {
+        let spec = smt4();
+        let mut c = Cluster::new(ClusterSpec::new(WIDE_NODES, spec));
+        for op in ops {
+            apply(&mut c, op);
+            let scan = |keep: &dyn Fn(&Node) -> bool| -> Vec<NodeId> {
+                c.nodes().iter().filter(|n| keep(n)).map(Node::id).collect()
+            };
+            let up = |n: &Node| n.admin_state() == AdminState::Up;
+            let idle = scan(&|n| up(n) && n.is_idle());
+            prop_assert_eq!(c.idle_nodes().collect::<Vec<_>>(), idle.clone());
+            prop_assert_eq!(c.idle_count(), idle.len());
+            let partial = |n: &Node| up(n) && !n.is_idle() && n.free_lane_count() > 0;
+            let partials = scan(&partial);
+            prop_assert_eq!(c.partial_nodes().collect::<Vec<_>>(), partials.clone());
+            prop_assert_eq!(c.partial_count(), partials.len());
+            for f in 0..=spec.smt + 1 {
+                let with_free = scan(&|n| partial(n) && n.free_lane_count() >= f.max(1));
+                prop_assert_eq!(
+                    c.partial_nodes_with_free_lanes(f).collect::<Vec<_>>(),
+                    with_free
+                );
+                let exactly = scan(&|n| partial(n) && n.free_lane_count() == f);
+                prop_assert_eq!(c.lane_bucket_count(f), exactly.len());
+            }
+            for id in (0..WIDE_NODES).map(NodeId) {
+                prop_assert_eq!(c.is_idle(id), idle.contains(&id));
+                prop_assert_eq!(c.is_partial(id), partials.contains(&id));
+            }
+        }
+        c.check_invariants().map_err(TestCaseError::fail)?;
+    }
+
     /// Memory is conserved: the sum of per-node used memory equals the sum
     /// over live allocations of `mem_per_node × node_count`.
     #[test]
     fn memory_is_conserved(ops in prop::collection::vec(op_strategy(), 1..60)) {
         let mut c = Cluster::new(ClusterSpec::new(NODES, NodeSpec::tiny()));
         for op in ops {
-            match op {
-                Op::AllocExclusive { job, nodes, mem } => {
-                    let ids: Vec<NodeId> = nodes.iter().copied().map(NodeId).collect();
-                    let _ = c.allocate_exclusive(JobId(job), &ids, mem);
-                }
-                Op::AllocShared { job, nodes, mem } => {
-                    let ids: Vec<NodeId> = nodes.iter().copied().map(NodeId).collect();
-                    let _ = c.allocate_shared(JobId(job), &ids, mem);
-                }
-                Op::Release { job } => { let _ = c.release(JobId(job)); }
-                Op::Drain { node } => { c.drain(NodeId(node)).unwrap(); }
-                Op::Resume { node } => { c.resume(NodeId(node)).unwrap(); }
-            }
+            apply(&mut c, op);
             let node_view: u64 = c.nodes().iter().map(|n| n.mem_used()).sum();
             let alloc_view: u64 = c
                 .allocations()

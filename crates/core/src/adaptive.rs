@@ -54,7 +54,7 @@ impl<B: Scheduler> Adaptive<B> {
     fn held_nodes(ctx: &SchedContext<'_>, job: JobId) -> Vec<NodeId> {
         ctx.cluster
             .allocation(job)
-            .map(|a| a.nodes().collect())
+            .map(|a| a.nodes.clone())
             .unwrap_or_default()
     }
 

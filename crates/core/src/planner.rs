@@ -25,9 +25,14 @@
 //!   Debug builds check every update against the every-node-dirty one.
 //!   The free-time table is brought up to date only when a reservation is
 //!   computed, so a policy that never reserves never pays for it.
+//! * **Sorted free table** — besides the per-node slots, the free-time
+//!   table keeps its up nodes sorted by `(free time, id)`, moving a
+//!   changed node's entry in place. The head reservation reads the first
+//!   `k` entries (or, when `k` or more nodes are already free at `now`,
+//!   the `k` lowest ids among those) instead of selecting over every node.
 //! * **Reservation as a bitset** — the head reservation is a shadow time
-//!   plus a `Vec<bool>` over node ids, computed once per pass with a
-//!   selection (not a full sort) over the cached free times.
+//!   plus a `Vec<bool>` over node ids and the list of the reserved ones,
+//!   which is all a new reservation has to clear.
 //! * **Pairing table** — all pairwise policy answers come from the dense
 //!   [`PairingTable`] instead of predictor evaluations.
 //! * **Per-app ranking** — for each candidate app, the eligible partial
@@ -258,15 +263,21 @@ impl NodeTable for PartialTable {
 #[derive(Clone, Debug, Default, PartialEq)]
 struct FreeTimes {
     raw: Vec<Option<f64>>,
-    /// Up nodes: the `Some` slots.
-    up: usize,
+    /// The up nodes (the `Some` slots) as `(raw, id)`, ascending by
+    /// [`by_free_time`].
+    order: Vec<(f64, NodeId)>,
+}
+
+/// The `(free time, id)` order: a unique total order on nodes.
+fn by_free_time(a: &(f64, NodeId), b: &(f64, NodeId)) -> std::cmp::Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
 impl NodeTable for FreeTimes {
     fn reset(&mut self, cluster: &Cluster) {
         self.raw.clear();
         self.raw.resize(cluster.node_count(), None);
-        self.up = 0;
+        self.order.clear();
     }
 
     fn derive(&mut self, ctx: &SchedContext<'_>, id: NodeId) {
@@ -279,7 +290,22 @@ impl NodeTable for FreeTimes {
                 .fold(f64::NEG_INFINITY, f64::max)
         });
         let slot = &mut self.raw[id.index()];
-        self.up = self.up + new.is_some() as usize - slot.is_some() as usize;
+        if slot.map(f64::to_bits) == new.map(f64::to_bits) {
+            return;
+        }
+        if let Some(old) = *slot {
+            let at = self
+                .order
+                .partition_point(|e| by_free_time(e, &(old, id)).is_lt());
+            debug_assert_eq!(self.order[at].1, id);
+            self.order.remove(at);
+        }
+        if let Some(raw) = new {
+            let at = self
+                .order
+                .partition_point(|e| by_free_time(e, &(raw, id)).is_lt());
+            self.order.insert(at, (raw, id));
+        }
         *slot = new;
     }
 }
@@ -305,6 +331,8 @@ pub(crate) struct Planner {
     // Per-pass reservation state.
     shadow: f64,
     reserved: Vec<bool>,
+    /// The `true` slots of `reserved`.
+    reserved_list: Vec<NodeId>,
     reserved_idle: usize,
     eligible_unreserved: usize,
     /// Partial nodes (eligible or not) in the `reserved` set.
@@ -328,7 +356,6 @@ pub(crate) struct Planner {
     memo_resv_k: usize,
     // Scratch buffers reused across calls.
     dirty_buf: Vec<NodeId>,
-    sort_buf: Vec<(NodeId, f64)>,
     rank_buf: Vec<(NodeId, f64)>,
     nodes_buf: Vec<NodeId>,
     apps_buf: Vec<AppId>,
@@ -343,6 +370,7 @@ impl Planner {
             free: Synced::default(),
             shadow: f64::INFINITY,
             reserved: Vec::new(),
+            reserved_list: Vec::new(),
             reserved_idle: 0,
             eligible_unreserved: 0,
             reserved_partials: 0,
@@ -352,7 +380,6 @@ impl Planner {
             memo_era: None,
             memo_resv_k: usize::MAX,
             dirty_buf: Vec::new(),
-            sort_buf: Vec::new(),
             rank_buf: Vec::new(),
             nodes_buf: Vec::new(),
             apps_buf: Vec::new(),
@@ -404,19 +431,29 @@ impl Planner {
         if !self.partials.sync(ctx, &mut self.dirty_buf) {
             return;
         }
-        self.reserved.clear();
+        self.clear_reservation();
         self.reserved.resize(ctx.cluster.node_count(), false);
-        self.reserved_partials = 0;
         for r in &mut self.rankings {
             r.fresh = false;
         }
     }
 
+    /// Empties the reserved set.
+    fn clear_reservation(&mut self) {
+        for &n in &self.reserved_list {
+            self.reserved[n.index()] = false;
+        }
+        self.reserved_list.clear();
+        self.reserved_partials = 0;
+    }
+
     /// Computes the head reservation for `k` nodes: same shadow and same
     /// reserved-node set as [`crate::util::HeadReservation::compute`],
-    /// via a selection over the cached free times instead of a full sort
-    /// (the `(free time, id)` key is a unique total order, so the k
-    /// smallest — and the k-th itself — are identical).
+    /// which takes the `k` smallest `(max(free time, now), id)` keys.
+    /// Read from the sorted free table: the `l` nodes free by `now` all
+    /// key at `now`, ahead of every later one. With `l < k` the set is
+    /// the first `k` entries and the shadow the `k`-th free time; else
+    /// the shadow is `now` and the set the `k` lowest ids of those `l`.
     pub fn compute_reservation(&mut self, ctx: &SchedContext<'_>, k: usize) {
         assert!(k >= 1, "reservation for a zero-node head");
         debug_assert_eq!(
@@ -432,36 +469,33 @@ impl Planner {
             self.memo_resv_k = k;
         }
         self.free.sync(ctx, &mut self.dirty_buf);
-        self.reserved.fill(false);
+        self.clear_reservation();
         self.eligible_unreserved = self.partials.eligible;
-        self.reserved_partials = 0;
-        if self.free.up < k {
+        self.reserved_idle = 0;
+        let order = &self.free.order;
+        if order.len() < k {
             self.shadow = f64::INFINITY;
-            self.reserved_idle = 0;
             return;
         }
-        self.sort_buf.clear();
-        self.sort_buf.extend(
-            self.free
-                .raw
-                .iter()
-                .enumerate()
-                .filter_map(|(i, raw)| raw.map(|raw| (NodeId(i as u32), raw.max(ctx.now)))),
-        );
-        self.sort_buf
-            .select_nth_unstable_by(k - 1, |a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        self.shadow = self.sort_buf[k - 1].1;
-        for &(n, _) in &self.sort_buf[..k] {
+        let l = order.partition_point(|&(raw, _)| raw <= ctx.now);
+        if l < k {
+            self.shadow = order[k - 1].0;
+            self.reserved_list.extend(order[..k].iter().map(|e| e.1));
+        } else {
+            self.shadow = ctx.now;
+            self.reserved_list.extend(order[..l].iter().map(|e| e.1));
+            if l > k {
+                self.reserved_list.select_nth_unstable(k - 1);
+                self.reserved_list.truncate(k);
+            }
+        }
+        for &n in &self.reserved_list {
             self.reserved[n.index()] = true;
             let p = &self.partials.slots[n.index()];
             self.reserved_partials += p.partial as usize;
             self.eligible_unreserved -= p.eligible as usize;
+            self.reserved_idle += ctx.cluster.is_idle(n) as usize;
         }
-        self.reserved_idle = ctx
-            .cluster
-            .idle_nodes()
-            .filter(|n| self.reserved[n.index()])
-            .count();
     }
 
     /// [`crate::util::pick_exclusive`] with `allowed = !restricted-or-

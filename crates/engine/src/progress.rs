@@ -10,9 +10,13 @@
 //! Rates are piecewise constant between allocation changes, so progress
 //! integration is exact. Every re-rate bumps the job's generation,
 //! invalidating completion events scheduled under the old rate.
+//!
+//! A re-rate walks each node's lane owners in lane order, keeping each
+//! co-runner at its first lane (the n-way rate depends on that order),
+//! into a stack buffer: it allocates nothing.
 
 use nodeshare_cluster::{Cluster, JobId, NodeId, ShareMode};
-use nodeshare_perf::CoRunTruth;
+use nodeshare_perf::{AppId, CoRunTruth};
 use nodeshare_workload::{JobSpec, Seconds};
 
 /// Mutable state of one running job.
@@ -28,6 +32,9 @@ pub struct RunningJob {
     pub mode: ShareMode,
     /// Exclusive-rate seconds of work completed so far.
     pub work_done: f64,
+    /// Checkpointed work the job resumed from at this start (0 unless a
+    /// node failure requeued it), exclusive-rate seconds.
+    pub salvaged: f64,
     /// Current progress rate (exclusive-rate seconds per wall second).
     pub rate: f64,
     /// Wall time of the last progress integration.
@@ -113,24 +120,26 @@ impl RunningJob {
         &mut self,
         cluster: &Cluster,
         truth: &CoRunTruth,
-        mut app_of: impl FnMut(JobId) -> nodeshare_perf::AppId,
+        mut app_of: impl FnMut(JobId) -> AppId,
     ) -> u64 {
         let mut rate = f64::INFINITY;
         let mut shared_nodes = 0u32;
-        let mut co_apps: Vec<nodeshare_perf::AppId> = Vec::new();
+        // A node has at most `u8::MAX` lanes, so fewer co-runners.
+        let mut co_apps = [AppId(0); u8::MAX as usize];
         for &node_id in &self.nodes {
             // detlint: allow(D5, invariant stated in the expect message; violating it is a bug, not a recoverable state)
             let node = cluster.node(node_id).expect("running job's node exists");
-            co_apps.clear();
-            for occupant in node.occupants() {
-                if occupant != self.spec.id {
-                    co_apps.push(app_of(occupant));
+            let mut len = 0;
+            for (lane, owner) in node.lane_owners().enumerate() {
+                if owner != self.spec.id && !node.lane_owners().take(lane).any(|o| o == owner) {
+                    co_apps[len] = app_of(owner);
+                    len += 1;
                 }
             }
-            if !co_apps.is_empty() {
+            if len > 0 {
                 shared_nodes += 1;
             }
-            rate = rate.min(truth.rate_with(self.spec.app, &co_apps));
+            rate = rate.min(truth.rate_with(self.spec.app, &co_apps[..len]));
         }
         // Width-malleable jobs progress in proportion to their current
         // width: the work model is perfect speedup inside the contract's
@@ -177,6 +186,7 @@ mod tests {
             nodes,
             mode: ShareMode::Shared,
             work_done: 0.0,
+            salvaged: 0.0,
             rate: 1.0,
             last_update: 0.0,
             generation: 0,

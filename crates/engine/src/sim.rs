@@ -132,16 +132,16 @@ pub struct Observe<'a> {
 /// replay-audited ([`Auditor`]) before returning.
 ///
 /// # Errors
-/// Returns the source's own error (I/O, parse) as soon as it occurs; the
-/// jobs simulated until then are discarded.
+/// Returns the source's own error (I/O, parse) as soon as it occurs, and
+/// a [`SourceError`] when the source breaks its contract: an invalid
+/// spec, delivery out of submit order, a broken horizon promise, or no
+/// progress. The jobs simulated until then are discarded.
 ///
 /// # Panics
 /// Panics when the policy returns an inapplicable decision (unknown job,
 /// wrong node count, occupied nodes, share-rule violations) — those are
 /// policy bugs, not recoverable conditions — when `max_events` is
-/// exceeded, when the audit finds a violation, and when the source
-/// breaks its contract: delivery out of `(submit, id)` order, invalid
-/// specs, horizon violations, or no progress.
+/// exceeded, and when the audit finds a violation.
 pub fn simulate(
     source: &mut dyn JobSource,
     truth: &CoRunTruth,
@@ -269,8 +269,6 @@ struct Engine<'a> {
     attempts: BTreeMap<JobId, u32>,
     /// Checkpointed work salvaged for requeued jobs, exclusive-seconds.
     salvage: BTreeMap<JobId, f64>,
-    /// Salvage applied at each running job's (latest) start.
-    salvaged_at_start: BTreeMap<JobId, f64>,
     /// Captured occupancy snapshots.
     snapshots: Vec<(Seconds, String)>,
     /// Jobs rejected at arrival as unsatisfiable.
@@ -279,8 +277,8 @@ struct Engine<'a> {
     /// never collide with their previous attempt's event stamps.
     gen_counter: u64,
     /// Reusable scratch for the affected-co-runner dedup in
-    /// [`Engine::finish`]/[`Engine::requeue`]; avoids a fresh `Vec` per
-    /// release on the hot path.
+    /// [`Engine::apply`], [`Engine::finish`] and [`Engine::requeue`];
+    /// avoids a fresh `Vec` per start or release on the hot path.
     affected_buf: Vec<JobId>,
     /// Decision trace, recorded when tracing/auditing is requested.
     trace: Option<DecisionTrace>,
@@ -351,7 +349,6 @@ impl<'a> Engine<'a> {
             processed: 0,
             attempts: BTreeMap::new(),
             salvage: BTreeMap::new(),
-            salvaged_at_start: BTreeMap::new(),
             snapshots: Vec::new(),
             rejected: Vec::new(),
             gen_counter: 1,
@@ -395,47 +392,59 @@ impl<'a> Engine<'a> {
 
     /// One `next_chunk` call: validates, queues arrival events, and
     /// advances the horizon. Passes the source's own `Err` (bad input)
-    /// through; panics on a misbehaving source — a silent repair would
-    /// quietly change results.
+    /// through, and turns a broken source contract into an `Err` too — a
+    /// silent repair would quietly change results.
     fn pull_chunk(&mut self) -> Result<(), SourceError> {
         let mut buf = std::mem::take(&mut self.chunk_buf);
         buf.clear();
         let res = self.source.next_chunk(&mut buf);
         let delivered = buf.len();
-        for job in buf.drain(..) {
-            job.validate()
-                .unwrap_or_else(|e| panic!("job source delivered an invalid spec: {e}"));
-            assert!(
-                job.submit >= self.last_delivered_submit,
-                "job source delivered {} out of submit order",
-                job.id
-            );
-            // `self.horizon` still holds the *previous* call's promise
-            // here; it only advances after the chunk is ingested.
-            assert!(
-                job.submit >= self.horizon,
-                "job source broke its horizon promise at {}",
-                job.id
-            );
-            self.last_delivered_submit = job.submit;
-            self.events
-                .push(job.submit, Event::Arrival(self.next_arrival_idx));
-            self.next_arrival_idx += 1;
-            self.pending.push_back(job);
-        }
+        let ingested = self.ingest(&mut buf);
         self.chunk_buf = buf;
+        ingested?;
         match res? {
             Some(h) => {
-                assert!(
-                    delivered > 0 || h > self.horizon,
-                    "job source made no progress (no jobs, horizon stuck at {h})"
-                );
+                if delivered == 0 && h <= self.horizon {
+                    return Err(SourceError::new(format!(
+                        "job source made no progress (no jobs, horizon stuck at {h})"
+                    )));
+                }
                 self.horizon = self.horizon.max(h);
             }
             None => {
                 self.source_done = true;
                 self.horizon = f64::INFINITY;
             }
+        }
+        Ok(())
+    }
+
+    /// Checks a delivered chunk against the source contract and queues
+    /// its arrivals, stopping at the first job that breaks the contract.
+    fn ingest(&mut self, buf: &mut Vec<JobSpec>) -> Result<(), SourceError> {
+        for job in buf.drain(..) {
+            job.validate().map_err(|e| {
+                SourceError::new(format!("job source delivered an invalid spec: {e}"))
+            })?;
+            if job.submit < self.last_delivered_submit {
+                return Err(SourceError::new(format!(
+                    "job source delivered {} out of submit order",
+                    job.id
+                )));
+            }
+            // `self.horizon` still holds the *previous* call's promise
+            // here; it only advances after the chunk is ingested.
+            if job.submit < self.horizon {
+                return Err(SourceError::new(format!(
+                    "job source broke its horizon promise at {}",
+                    job.id
+                )));
+            }
+            self.last_delivered_submit = job.submit;
+            self.events
+                .push(job.submit, Event::Arrival(self.next_arrival_idx));
+            self.next_arrival_idx += 1;
+            self.pending.push_back(job);
         }
         Ok(())
     }
@@ -801,12 +810,12 @@ impl<'a> Engine<'a> {
 
         let walltime = spec.walltime_estimate;
         let salvaged = self.salvage.remove(&job_id).unwrap_or(0.0);
-        self.salvaged_at_start.insert(job_id, salvaged);
         let mut running = RunningJob {
             start: self.now,
             nodes: decision.nodes().to_vec(),
             mode,
             work_done: salvaged,
+            salvaged,
             rate: 1.0,
             last_update: self.now,
             generation: 0,
@@ -817,21 +826,21 @@ impl<'a> Engine<'a> {
             kill_arm: 0,
             spec,
         };
-        let partners = self.cluster.co_runners(job_id);
-        let affected: Vec<JobId> = partners.iter().map(|&(_, co)| co).collect();
-        self.trace_ev(TraceEvent::Started {
-            time: self.now,
-            job: job_id,
-            mode,
-            nodes: decision.nodes().to_vec(),
-            reason,
-            idle_before,
-            head_waiting,
-            partners,
-        });
+        if let Some(t) = &mut self.trace {
+            t.push(TraceEvent::Started {
+                time: self.now,
+                job: job_id,
+                mode,
+                nodes: decision.nodes().to_vec(),
+                reason,
+                idle_before,
+                head_waiting,
+                partners: self.cluster.co_runners(job_id),
+            });
+        }
         {
-            let running_tbl = &self.running;
-            running.rerate_with(&self.cluster, self.truth, |co| running_tbl[&co].spec.app);
+            let view = &self.running_view;
+            running.rerate_with(&self.cluster, self.truth, |co| view[&co].app);
         }
         running.generation = self.next_gen();
         self.events.push(
@@ -857,9 +866,27 @@ impl<'a> Engine<'a> {
         self.running_view
             .insert(job_id, summary_of(&running, kill_at));
         self.running.insert(job_id, running);
-        for co in affected {
-            self.rerate_job(co);
+        // One co-runner per shared node, in grant order (the order of
+        // `Cluster::co_runners`). A co-runner met again is not re-rated
+        // again: nothing changed since its first re-rate, so it keeps the
+        // same rate and completion time, and only a fresh completion
+        // event is pushed, as a second re-rate would push it.
+        let mut affected = std::mem::take(&mut self.affected_buf);
+        affected.clear();
+        for &n in decision.nodes() {
+            // detlint: allow(D5, invariant stated in the expect message; violating it is a bug, not a recoverable state)
+            let node = self.cluster.node(n).expect("allocated node exists");
+            let Some(co) = node.co_runner_of(job_id) else {
+                continue;
+            };
+            if affected.contains(&co) {
+                self.rearm_completion(co);
+            } else {
+                affected.push(co);
+                self.rerate_job(co);
+            }
         }
+        self.affected_buf = affected;
         self.record_occupancy();
     }
 
@@ -960,8 +987,8 @@ impl<'a> Engine<'a> {
         // Exclusive mode means no co-residents on either node set, so
         // only the job itself re-rates.
         {
-            let running_tbl = &self.running;
-            r.rerate_with(&self.cluster, self.truth, |co| running_tbl[&co].spec.app);
+            let view = &self.running_view;
+            r.rerate_with(&self.cluster, self.truth, |co| view[&co].app);
         }
         r.generation = self.next_gen();
         self.events.push(
@@ -1037,11 +1064,7 @@ impl<'a> Engine<'a> {
                 killed,
                 shared_alloc: r.mode == ShareMode::Shared,
                 restarts: self.attempts.get(&r.spec.id).copied().unwrap_or(0),
-                salvaged_work: self
-                    .salvaged_at_start
-                    .get(&r.spec.id)
-                    .copied()
-                    .unwrap_or(0.0),
+                salvaged_work: r.salvaged,
                 user: r.spec.user,
             });
         }
@@ -1060,10 +1083,10 @@ impl<'a> Engine<'a> {
     fn rerate_affected(&mut self, alloc: &Allocation) {
         let mut affected = std::mem::take(&mut self.affected_buf);
         affected.clear();
-        for p in &alloc.placements {
+        for &id in &alloc.nodes {
             for occupant in self
                 .cluster
-                .node(p.node)
+                .node(id)
                 // detlint: allow(D5, invariant stated in the expect message; violating it is a bug, not a recoverable state)
                 .expect("node exists")
                 .lane_owners()
@@ -1079,25 +1102,31 @@ impl<'a> Engine<'a> {
         self.affected_buf = affected;
     }
 
-    /// Advances and re-rates one running job after an occupancy change on
-    /// its nodes, scheduling a fresh completion event.
+    /// Advances and re-rates one running job, in place, after an
+    /// occupancy change on its nodes, scheduling a fresh completion event.
     fn rerate_job(&mut self, job_id: JobId) {
         // detlint: allow(D5, invariant stated in the expect message; violating it is a bug, not a recoverable state)
-        let mut r = self.running.remove(&job_id).expect("job is running");
+        let r = self.running.get_mut(&job_id).expect("job is running");
         r.advance_to(self.now);
-        {
-            let running_tbl = &self.running;
-            r.rerate_with(&self.cluster, self.truth, |co| running_tbl[&co].spec.app);
-        }
-        r.generation = self.next_gen();
+        let view = &self.running_view;
+        r.rerate_with(&self.cluster, self.truth, |co| view[&co].app);
+        self.rearm_completion(job_id);
+    }
+
+    /// Supersedes a running job's armed completion with a fresh event at
+    /// its current completion time, under a new generation.
+    fn rearm_completion(&mut self, job_id: JobId) {
+        let generation = self.next_gen();
+        // detlint: allow(D5, invariant stated in the expect message; violating it is a bug, not a recoverable state)
+        let r = self.running.get_mut(&job_id).expect("job is running");
+        r.generation = generation;
         self.events.push(
             r.eta(self.now),
             Event::Completion {
                 job: job_id,
-                generation: r.generation,
+                generation,
             },
         );
-        self.running.insert(job_id, r);
     }
 
     /// A node fails: every resident job is requeued (its progress lost),
@@ -1421,6 +1450,54 @@ mod tests {
             r0.finish
         );
         assert!((r0.shared_node_seconds - t1).abs() < 1e-6);
+    }
+
+    /// A source that delivers fixed chunks, each with its horizon.
+    struct Scripted(VecDeque<(Vec<JobSpec>, Option<Seconds>)>);
+    impl JobSource for Scripted {
+        fn next_chunk(&mut self, out: &mut Vec<JobSpec>) -> Result<Option<Seconds>, SourceError> {
+            let (jobs, horizon) = self.0.pop_front().unwrap_or((vec![], None));
+            out.extend(jobs);
+            Ok(horizon)
+        }
+    }
+
+    #[test]
+    fn a_source_breaking_its_contract_is_an_error_not_a_panic() {
+        let mut zero_wide = spec(1, 5.0, 1, 10.0);
+        zero_wide.nodes = 0;
+        let cases = [
+            (
+                vec![(vec![spec(0, 0.0, 1, 10.0), zero_wide], None)],
+                "job source delivered an invalid spec: job1: must request at least one node",
+            ),
+            (
+                vec![(vec![spec(0, 5.0, 1, 10.0), spec(1, 4.0, 1, 10.0)], None)],
+                "job source delivered job1 out of submit order",
+            ),
+            (
+                vec![
+                    (vec![spec(0, 0.0, 1, 10.0)], Some(50.0)),
+                    (vec![spec(1, 20.0, 1, 10.0)], None),
+                ],
+                "job source broke its horizon promise at job1",
+            ),
+            (
+                vec![
+                    (vec![spec(0, 0.0, 1, 10.0)], Some(50.0)),
+                    (vec![], Some(50.0)),
+                ],
+                "job source made no progress (no jobs, horizon stuck at 50)",
+            ),
+        ];
+        let m = matrix();
+        for (chunks, want) in cases {
+            let mut source = Scripted(chunks.into());
+            let err = simulate(&mut source, &m, &mut Fcfs, &config(2), Observe::default())
+                .map(|_| ())
+                .expect_err("a broken source contract fails the run");
+            assert_eq!(err.to_string(), want);
+        }
     }
 
     #[test]

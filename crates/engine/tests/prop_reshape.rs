@@ -71,7 +71,7 @@ impl Scheduler for ReshapingFcfs {
         let held: Vec<NodeId> = ctx
             .cluster
             .allocation(pick.job)
-            .map(|a| a.nodes().collect())
+            .map(|a| a.nodes.clone())
             .unwrap_or_default();
         if held.len() != pick.nodes as usize {
             return vec![];

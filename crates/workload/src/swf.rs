@@ -172,7 +172,10 @@ pub fn record_to_spec(
     if procs <= 0 || r.run_time <= 0 || r.submit < 0 {
         return None;
     }
-    let nodes = (procs as u64).div_ceil(opts.cores_per_node as u64) as u32;
+    // A width past `u32::MAX` nodes saturates: the engine rejects it at
+    // submission like any request wider than the machine.
+    let nodes =
+        u32::try_from((procs as u64).div_ceil(opts.cores_per_node as u64)).unwrap_or(u32::MAX);
     let runtime = r.run_time as Seconds;
     let estimate = if r.req_time > 0 {
         (r.req_time as Seconds).max(runtime)
